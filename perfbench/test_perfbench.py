@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import reference as ref
-from run import tail
+from run import median, tail
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -92,12 +92,21 @@ def test_without_sources_exits_nonzero_and_prints_no_result(tmp_path):
 
 def test_tail_percentile():
     # small rounds: the slowest task of each round, median over rounds
-    assert tail([[3.0, 1.0], [2.0, 5.0], [4.0, 0.0]]) == (4.0, 100.0, 3)
+    assert tail([[3.0, 1.0], [2.0, 5.0], [4.0, 0.0]]) == (pytest.approx(4.0), 100.0, 3)
     # rounds of 100 tasks or more: p99 of all samples, ten or more beyond it
     few = [[float(i) for i in range(j, 201, 2)] for j in (1, 2)]
     assert tail(few) == (190.0, 95.0, 200)
     many = [[float(i) for i in range(j, 5001, 5)] for j in range(1, 6)]
     assert tail(many) == (4950.0, 99.0, 5000)
+
+
+def test_median_weights():
+    assert median([5.0]) == 5.0
+    assert median([3.0, 1.0]) == pytest.approx(2.0)
+    # I_x(2, 2) = 3x^2 - 2x^3, so three samples weigh 7/27, 13/27 and 7/27
+    assert median([27.0, 0.0, 0.0]) == pytest.approx(7.0)
+    # weights are symmetric, so a symmetric sample has its centre as median
+    assert median([float(i) for i in range(1001)]) == pytest.approx(500.0)
 
 
 def test_reference_group_law():

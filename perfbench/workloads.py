@@ -109,7 +109,7 @@ def homology_warm_up() -> None:
 # ---------------------------------------------------------- chain-torsion
 
 CHAIN_DEGREES = 4          # chain groups C_0..C_3, three boundary maps
-CHAIN_RANKS = (8, 12)      # rank of each chain group, inclusive range
+CHAIN_RANKS = (6, 10)      # rank of each chain group, inclusive range
 CHAIN_MODULI = (1, 30)     # d of each piece Z --d--> Z, inclusive range
 CHAIN_TASKS = 200          # complexes per round
 
