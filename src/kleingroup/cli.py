@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .abelian import GradedGroups
 from .core import GroupElement, as_affine, conj, inv, mul, power
@@ -208,7 +209,7 @@ def _h_act_line(a):
     g = GroupElement(a.n, a.m)
     line = Line(a.slope, a.intercept)
     img = act_line(g, line)
-    case = "line action: vertical line shifted" if line.vertical else \
+    case = "line action: vertical line shifted" if line.b == 0 else \
         "line action: slope reflected by parity"
     return ({"element": _elem_json(g), "line": _line_json(line)},
             {"line": _line_json(img)}, case, _line_text(img))
@@ -217,13 +218,13 @@ def _h_act_line(a):
 def _h_isotropy(a):
     line = Line(a.slope, a.intercept)
     s = isotropy_group(line)
-    if line.vertical:
+    if line.b == 0:
         case = ("isotropy: vertical line, twice-intercept integral"
-                if (2 * line.intercept).denominator == 1
+                if 2 * line.c % line.a == 0
                 else "isotropy: vertical line, twice-intercept non-integral")
-    elif line.slope == 0:
+    elif line.a == 0:
         case = "isotropy: zero slope"
-    elif line.slope.numerator % 2 == 0:
+    elif line.a // gcd(line.a, line.b) % 2 == 0:
         case = "isotropy: finite slope, even reduced numerator"
     else:
         case = "isotropy: finite slope, odd reduced numerator"
@@ -426,12 +427,14 @@ def _h_join(a):
 
 
 def _h_verify(a):
-    report = run_suite(a.suite, bound=a.bound, seed=a.seed,
-                       max_denominator=a.max_denominator)
-    return ({"suite": a.suite, "bound": a.bound}, report.to_json(),
-            "verification sweep",
-            f"{report.suite}: {'ok' if report.ok else 'FAILED'} "
-            f"({report.checks} checks)")
+    """One record per suite; --suite all runs every suite in name order."""
+    for name in sorted(SUITES) if a.suite == "all" else [a.suite]:
+        report = run_suite(name, bound=a.bound, seed=a.seed,
+                           max_denominator=a.max_denominator)
+        yield ({"suite": name, "bound": a.bound}, report.to_json(),
+               "verification sweep",
+               f"{report.suite}: {'ok' if report.ok else 'FAILED'} "
+               f"({report.checks} checks)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,17 +584,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_preprocess(argv))
 
     try:
-        if args.command == "verify" and args.suite == "all":
-            bad = 0
-            for name in sorted(SUITES):
-                ns = argparse.Namespace(
-                    suite=name, bound=args.bound, seed=args.seed,
-                    max_denominator=args.max_denominator,
-                )
-                inputs, result, provenance, text = _h_verify(ns)
+        if args.command == "verify":
+            ok = True
+            for inputs, result, provenance, text in _h_verify(args):
                 _emit("verify", inputs, result, provenance, text, args)
-                bad += 0 if result["ok"] else 1
-            return 1 if bad else 0
+                ok = ok and result["ok"]
+            return 0 if ok else 1
         inputs, result, provenance, text = args.handler(args)
     except ValueError as e:
         print(f"precondition violated: {e}", file=sys.stderr)

@@ -1,48 +1,44 @@
 """Isotropy groups of lines and fixed lines of subgroups.
 
-Every line has nontrivial infinite cyclic isotropy, determined by the
-parity of its reduced slope numerator (or, for vertical lines, by
-whether twice the intercept is an integer).  Dually, the fixed set of a
-cyclic subgroup inside the space of lines is a point, a family of
-parallel lines, or the family of vertical lines - never empty.
+Every line a*t + b*r = c has nontrivial infinite cyclic isotropy,
+generated by its primitive direction (b, -a)/gcd(a, b), doubled when
+that is a glide, unless the line is vertical and a glide flips it onto
+itself.  Dually, the fixed set of a cyclic subgroup inside the space of
+lines is a point, a family of parallel lines, or the family of vertical
+lines - never empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import GroupElement
-from .plane import VERTICAL, Line, act_line, stabilizes
-from .subgroups import CyclicSubgroup, canonicalize, subgroup
+from .plane import Line, _line
+from .subgroups import CyclicSubgroup, subgroup
 
 
 def isotropy_group(line: Line) -> CyclicSubgroup:
     """The stabilizer of a line, always nontrivial infinite cyclic.
 
-    For slope a1/a2 in lowest terms (a2 > 0) the stabilizer is
-    <(a2, a1)> when a1 is even and <(2*a2, 2*a1)> when a1 is odd; slope
-    zero gives the horizontal <(1, 0)>.  A vertical line at b is flipped
-    onto itself by <(2b, 1)> when 2b is an integer and otherwise only
-    translated along itself, by <(0, 2)>.
+    The translations along a*t + b*r = c are the multiples of
+    (b, -a)/gcd(a, b); only the even ones keep the line, since a glide
+    reverses t.  The exception is a vertical line t = c/a with 2c/a an
+    integer, which the glide (2c/a, 1) flips onto itself.
 
     >>> isotropy_group(Line(Fraction(2, 3), Fraction(4))).gen
     GroupElement(n=3, m=2)
     >>> isotropy_group(Line(Fraction(1, 2), Fraction(0))).gen
     GroupElement(n=4, m=2)
     """
-    if line.vertical:
-        double = 2 * line.intercept
-        if double.denominator == 1:
-            return subgroup(int(double), 1)
-        return subgroup(0, 2)
-    a = line.slope
-    if a == 0:
-        return subgroup(1, 0)
-    a1, a2 = a.numerator, a.denominator
-    if a1 % 2 == 0:
-        return canonicalize(GroupElement(a2, a1))
-    return canonicalize(GroupElement(2 * a2, 2 * a1))
+    a, b, c = line.a, line.b, line.c
+    if b == 0 and 2 * c % a == 0:
+        return subgroup(2 * c // a, 1)
+    d = gcd(a, b)
+    n, m = b // d, -a // d
+    k = 1 + m % 2
+    return subgroup(k * n, k * m)
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class FixedSetDescriptor:
 
     def contains_line(self, line: Line) -> bool:
         if self.kind == "slope-family":
-            return not line.vertical and line.slope == self.slope
+            return line.slope == self.slope
         if self.kind == "vertical-family":
             return line.vertical
         if self.kind == "single-point":
@@ -82,12 +78,12 @@ def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     >>> fixed_set(subgroup(1, 2)).slope
     Fraction(2, 1)
     >>> fixed_set(subgroup(3, 1)).line
-    Line(slope=inf, intercept=Fraction(3, 2))
+    Line(a=2, b=0, c=3)
     """
     n, m = s.gen.n, s.gen.m
     if m % 2:
         # a glide flip fixes exactly one vertical line, through n/2
-        return FixedSetDescriptor("single-point", line=Line(VERTICAL, Fraction(n, 2)))
+        return FixedSetDescriptor("single-point", line=_line(2, 0, n))
     if m == 0:
         return FixedSetDescriptor("slope-family", slope=Fraction(0))
     if n == 0:
@@ -105,7 +101,7 @@ def line_grid(bound: int) -> list[Line]:
     vertical lines with those intercepts."""
     fracs = _fraction_grid(bound)
     lines = [Line(a, b) for a in fracs for b in fracs]
-    lines += [Line(VERTICAL, b) for b in fracs]
+    lines += [_line(b.denominator, 0, b.numerator) for b in fracs]
     return lines
 
 
@@ -120,55 +116,10 @@ def canonical_subgroups(bound: int) -> list[CyclicSubgroup]:
     return out
 
 
-@dataclass
-class IComplexReport:
-    """Outcome of the isotropy/fixed-set sweep, with counterexamples."""
-
-    bound: int
-    checks: int = 0
-    counterexamples: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-    def _fail(self, msg: str) -> None:
-        if len(self.counterexamples) < 20:
-            self.counterexamples.append(msg)
-
-
-def verify_i_complex(sample_bound: int) -> IComplexReport:
-    """Sweep all bounded lines and subgroups for the two structural facts
-    that make the line space a useful building block: lines never have
-    trivial isotropy, and nontrivial subgroups never have empty fixed
-    sets (and the fixed set is a point or a contractible family).
-    """
-    report = IComplexReport(sample_bound)
-    for line in line_grid(sample_bound):
-        iso = isotropy_group(line)
-        report.checks += 1
-        if iso.gen.is_identity():
-            report._fail(f"trivial isotropy for {line}")
-        if not stabilizes(iso.gen, line):
-            report._fail(f"isotropy generator {iso.gen} does not stabilize {line}")
-        if act_line(iso.gen, line) != line:
-            report._fail(f"act_line disagrees with stabilizes at {line}")
-    for s in canonical_subgroups(sample_bound):
-        d = fixed_set(s)
-        report.checks += 1
-        if d.kind == "empty":
-            report._fail(f"empty fixed set for {s}")
-        if d.kind == "single-point" and not stabilizes(s.gen, d.line):
-            report._fail(f"claimed fixed line not fixed for {s}")
-    return report
-
-
 __all__ = [
     "FixedSetDescriptor",
-    "IComplexReport",
     "isotropy_group",
     "fixed_set",
-    "verify_i_complex",
     "line_grid",
     "canonical_subgroups",
 ]

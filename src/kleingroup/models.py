@@ -16,7 +16,7 @@ from math import gcd
 
 from .core import GroupElement, _sgn
 from .isotropy import _fraction_grid, isotropy_group
-from .plane import VERTICAL, Line, PlanePoint
+from .plane import Line, PlanePoint
 from .subgroups import (
     Commensurator,
     CommClass,
@@ -49,11 +49,6 @@ def axis_projection(p: PlanePoint) -> Fraction:
 def shift_action(g: GroupElement, x: Fraction) -> Fraction:
     """The action on the horizontal piece's line: shift by g.m."""
     return g.m + x
-
-
-def reflection_sign(g: GroupElement) -> int:
-    """+1 for elements of the translation subgroup, -1 for glides."""
-    return _sgn(g.m)
 
 
 def _check_flat_rep(rep: CyclicSubgroup) -> tuple[int, int]:
@@ -209,7 +204,6 @@ __all__ = [
     "index_stabilizer",
     "axis_projection",
     "shift_action",
-    "reflection_sign",
     "line_quotient",
     "quotient_shift",
     "flat_representatives",

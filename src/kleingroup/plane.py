@@ -2,9 +2,10 @@
 
 Points carry exact rational coordinates.  A group element (n, m) acts by
 (t, r) -> (n + (-1)**m * t, m + r): a horizontal translation or glide
-composed with a vertical shift.  Lines of rational slope (or vertical
-lines) are carried to lines of the same kind, and parallel lines bound a
-flat strip whose width is the invariant behind the line-space metric.
+composed with a vertical shift.  A line is the primitive integer triple
+(a, b, c) of a*t + b*r = c, so vertical lines (b == 0) are no special
+case: the action, the stabilizer criterion and the strip width between
+parallel lines are each one formula on the triple.
 """
 
 from __future__ import annotations
@@ -35,31 +36,61 @@ class PlanePoint:
         object.__setattr__(self, "r", _as_fraction(self.r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Line:
-    """The line r = slope*t + intercept, or t = intercept when vertical.
+    """The line a*t + b*r = c, as a primitive integer triple.
 
-    slope is an exact rational, or the distinguished value VERTICAL
-    (math.inf).  Fractions normalize themselves, so equal lines compare
-    equal.
+    The triple is normalized once, by gcd(a, b, c) = 1 and by sign (b > 0,
+    or b == 0 and a > 0), so equal lines compare equal.  Build it as
+    Line(slope, intercept) for r = slope*t + intercept, with the slope
+    VERTICAL (math.inf) for the line t = intercept; slope, intercept and
+    vertical are views of the triple.
     """
 
-    slope: Fraction | float
-    intercept: Fraction
+    a: int
+    b: int
+    c: int
 
-    def __post_init__(self) -> None:
-        if self.slope != VERTICAL:
-            object.__setattr__(self, "slope", _as_fraction(self.slope))
-        object.__setattr__(self, "intercept", _as_fraction(self.intercept))
+    def __init__(self, slope, intercept) -> None:
+        q = _as_fraction(intercept)
+        if slope == VERTICAL:
+            self._set(q.denominator, 0, q.numerator)
+        else:
+            p = _as_fraction(slope)
+            # r = p*t + q, cleared of both denominators
+            self._set(-p.numerator * q.denominator, p.denominator * q.denominator,
+                      q.numerator * p.denominator)
+
+    def _set(self, a: int, b: int, c: int) -> None:
+        g = math.gcd(a, b, c)
+        if b < 0 or (b == 0 and a < 0):
+            g = -g
+        object.__setattr__(self, "a", a // g)
+        object.__setattr__(self, "b", b // g)
+        object.__setattr__(self, "c", c // g)
 
     @property
     def vertical(self) -> bool:
-        return self.slope == VERTICAL
+        return self.b == 0
+
+    @property
+    def slope(self) -> Fraction | float:
+        return VERTICAL if self.b == 0 else Fraction(-self.a, self.b)
+
+    @property
+    def intercept(self) -> Fraction:
+        """Where the line meets the r-axis, or the t-axis if vertical."""
+        return Fraction(self.c, self.b or self.a)
 
     def contains(self, p: PlanePoint) -> bool:
-        if self.vertical:
-            return p.t == self.intercept
-        return p.r == self.slope * p.t + self.intercept
+        return self.a * p.t + self.b * p.r == self.c
+
+
+def _line(a: int, b: int, c: int) -> Line:
+    """The line a*t + b*r = c, normalized."""
+    line = object.__new__(Line)
+    line._set(a, b, c)
+    return line
 
 
 def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
@@ -68,17 +99,10 @@ def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
 
 
 def act_line(g: GroupElement, line: Line) -> Line:
-    """The image of a line, again a line of the allowed kind.
-
-    Finite slope a goes to (-1)**g.m * a with intercept
-    b + g.m - (-1)**g.m * a * g.n; a vertical line at b moves to
-    g.n + (-1)**g.m * b.
-    """
-    s = _sgn(g.m)
-    if line.vertical:
-        return Line(VERTICAL, g.n + s * line.intercept)
-    a, b = line.slope, line.intercept
-    return Line(s * a, b + g.m - s * a * g.n)
+    """The image of a line: a*t + b*r = c goes to
+    s*a*t + b*r = c + s*a*g.n + b*g.m, where s = (-1)**g.m."""
+    sa = _sgn(g.m) * line.a
+    return _line(sa, line.b, line.c + sa * g.n + line.b * g.m)
 
 
 @dataclass(frozen=True)
@@ -94,44 +118,46 @@ class LineDistance:
 def line_distance(l1: Line, l2: Line) -> LineDistance:
     """Distance in the space of lines.
 
-    >>> line_distance(Line(VERTICAL, Fraction(0)), Line(VERTICAL, Fraction(3))).value
+    Raises ValueError when the float distance of two distinct parallel
+    lines would not lie strictly between 0 and 1.
+
+    >>> line_distance(Line(0, 0), Line(0, 3)).value
     0.75
     """
-    if l1.slope != l2.slope:
+    if l1.a * l2.b != l2.a * l1.b:
         return LineDistance(False, None, 1.0)
-    if l1.vertical:
-        width_sq = (l1.intercept - l2.intercept) ** 2
-    else:
-        # perpendicular distance between parallel lines of slope a
-        width_sq = (l1.intercept - l2.intercept) ** 2 / (1 + l1.slope**2)
-    width = math.sqrt(width_sq)
-    return LineDistance(True, width_sq, width / (1 + width))
+    # both normals are positive multiples of the primitive (a, b) / d
+    d1, d2 = math.gcd(l1.a, l1.b), math.gcd(l2.a, l2.b)
+    width_sq = Fraction((l1.c * d2 - l2.c * d1) ** 2,
+                        d2 * d2 * (l1.a * l1.a + l1.b * l1.b))
+    try:
+        width = math.sqrt(width_sq)
+    except OverflowError:
+        width = math.inf
+    value = width / (1 + width)
+    if width_sq and not 0 < value < 1:
+        raise ValueError("the distance of distinct parallel lines is not a float "
+                         "strictly between 0 and 1 at this strip width")
+    return LineDistance(True, width_sq, value)
 
 
 def stabilizes(g: GroupElement, line: Line) -> bool:
     """Whether g maps the line to itself, by the closed criterion.
 
-    A vertical line at b is preserved iff g.n == (1 - (-1)**g.m) * b.
-    A line of finite slope a needs g.m even and nonzero with a == g.m/g.n,
-    except that slope 0 is preserved exactly by the horizontal (n, 0).
-    Always agrees with act_line(g, line) == line.
+    A glide (odd g.m) reverses the t-direction, so it can only keep a
+    vertical line; then a*g.n + b*g.m == (1 - (-1)**g.m) * c.  Always
+    agrees with act_line(g, line) == line.
     """
-    if line.vertical:
-        return g.n == (1 - _sgn(g.m)) * line.intercept
-    if g.m % 2:
-        return False
-    if g.m == 0:
-        return g.n == 0 or line.slope == 0
-    if g.n == 0:
-        return False
-    return line.slope == Fraction(g.m, g.n)
+    a, b, c = line.a, line.b, line.c
+    s = _sgn(g.m)
+    return (b == 0 or s == 1) and a * g.n + b * g.m == (1 - s) * c
 
 
 def is_axis(line: Line) -> bool:
     """Whether the line is the axis of some nontrivial element.
 
-    Lines of rational slope and rational intercept, and vertical lines of
-    rational intercept, always are; the data model admits nothing else.
+    Every line with an integer triple is; the data model admits nothing
+    else.
     """
     return True
 

@@ -25,13 +25,7 @@ from .core import (
     mul,
     power,
 )
-from .isotropy import (
-    canonical_subgroups,
-    fixed_set,
-    isotropy_group,
-    line_grid,
-    verify_i_complex,
-)
+from .isotropy import canonical_subgroups, fixed_set, isotropy_group, line_grid
 from .models import (
     flat_representatives,
     index_action,
@@ -62,7 +56,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failures, and the sweep checked something."""
+        return self.checks > 0 and not self.failures
 
     def fail(self, msg: str) -> None:
         if len(self.failures) < 10:
@@ -225,7 +220,7 @@ def isotropy_suite(element_bound: int = 8, line_bound: int = 5) -> SuiteReport:
 
 def fixed_set_suite(gen_bound: int = 6, line_bound: int = 5) -> SuiteReport:
     """Fixed-set descriptors against brute-force stabilization, plus the
-    structural sweep of verify_i_complex."""
+    structural sweep of i_complex_suite."""
     rep = SuiteReport("fixed-set", {"gen_bound": gen_bound, "line_bound": line_bound})
     lines = line_grid(line_bound)
     for s in canonical_subgroups(gen_bound):
@@ -236,9 +231,9 @@ def fixed_set_suite(gen_bound: int = 6, line_bound: int = 5) -> SuiteReport:
             if d.contains_line(line) != stabilizes(s.gen, line):
                 rep.fail(f"fixed-set membership wrong at {s}, {line}")
             rep.checks += 1
-    inner = verify_i_complex(gen_bound)
+    inner = i_complex_suite(gen_bound)
     rep.checks += inner.checks
-    for c in inner.counterexamples:
+    for c in inner.failures:
         rep.fail(f"i-complex: {c}")
     return rep
 
@@ -361,10 +356,27 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
 
 
 def i_complex_suite(bound: int = 6) -> SuiteReport:
-    inner = verify_i_complex(bound)
-    rep = SuiteReport("i-complex", {"bound": bound}, checks=inner.checks)
-    for c in inner.counterexamples:
-        rep.fail(c)
+    """The two structural facts that make the line space a useful
+    building block, over all bounded lines and subgroups: lines never
+    have trivial isotropy, and nontrivial subgroups never have empty
+    fixed sets (the fixed set is a point or a contractible family)."""
+    rep = SuiteReport("i-complex", {"bound": bound})
+    for line in line_grid(bound):
+        iso = isotropy_group(line)
+        rep.checks += 1
+        if iso.gen.is_identity():
+            rep.fail(f"trivial isotropy for {line}")
+        if not stabilizes(iso.gen, line):
+            rep.fail(f"isotropy generator {iso.gen} does not stabilize {line}")
+        if act_line(iso.gen, line) != line:
+            rep.fail(f"act_line disagrees with stabilizes at {line}")
+    for s in canonical_subgroups(bound):
+        d = fixed_set(s)
+        rep.checks += 1
+        if d.kind == "empty":
+            rep.fail(f"empty fixed set for {s}")
+        if d.kind == "single-point" and not stabilizes(s.gen, d.line):
+            rep.fail(f"claimed fixed line not fixed for {s}")
     return rep
 
 
@@ -380,36 +392,32 @@ SUITES = {
 }
 
 
+# What the common options set in each suite: the keyword --bound sets,
+# the keyword --max-denominator sets, and whether the suite takes a seed.
+_OPTIONS = {
+    "group-law": ("bound", None, True),
+    "representation": ("bound", None, False),
+    "isotropy": ("element_bound", "line_bound", False),
+    "fixed-set": ("gen_bound", "line_bound", False),
+    "commensurability": ("bound", None, False),
+    "kn-action": ("bound", None, False),
+    "equivariant-maps": ("bound", None, False),
+    "i-complex": ("bound", None, False),
+}
+
+
 def run_suite(name: str, bound: int | None = None, seed: int = 0,
               max_denominator: int | None = None) -> SuiteReport:
     """Dispatch a named suite with its contractual default bounds unless
     overridden."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    kwargs: dict = {}
-    if name == "group-law":
-        kwargs["seed"] = seed
-        if bound is not None:
-            kwargs["bound"] = bound
-    elif name in ("representation", "i-complex"):
-        if bound is not None:
-            kwargs["bound"] = bound
-    elif name == "isotropy":
-        if bound is not None:
-            kwargs["element_bound"] = bound
-        if max_denominator is not None:
-            kwargs["line_bound"] = max_denominator
-    elif name == "fixed-set":
-        if bound is not None:
-            kwargs["gen_bound"] = bound
-        if max_denominator is not None:
-            kwargs["line_bound"] = max_denominator
-    elif name == "commensurability":
-        if bound is not None:
-            kwargs["bound"] = bound
-    elif name in ("kn-action", "equivariant-maps"):
-        if bound is not None:
-            kwargs["bound"] = bound
+    bound_key, denominator_key, seeded = _OPTIONS[name]
+    kwargs: dict = {"seed": seed} if seeded else {}
+    if bound is not None:
+        kwargs[bound_key] = bound
+    if denominator_key and max_denominator is not None:
+        kwargs[denominator_key] = max_denominator
     return SUITES[name](**kwargs)
 
 

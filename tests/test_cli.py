@@ -142,6 +142,56 @@ def test_verify_all_runs_every_suite(capsys):
     assert len(names) == 8
 
 
+def test_verify_zero_checks_fails(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "isotropy", "--bound", "-3"], capsys)
+    assert code == 1
+    assert out.startswith("isotropy: FAILED (0 checks)")
+
+
+def test_verify_failed_single_suite_exits_1(monkeypatch, capsys):
+    from kleingroup import cli
+    from kleingroup.verify import SuiteReport
+
+    def broken(name, **kwargs):
+        return SuiteReport(name, {}, checks=1, failures=["forced"])
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, out, _ = run_cli(["verify", "--suite", "kn-action", "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["result"]["failures"] == ["forced"]
+
+
+@pytest.mark.parametrize("suite, key", [
+    ("group-law", "bound"),
+    ("representation", "bound"),
+    ("isotropy", "element_bound"),
+    ("fixed-set", "gen_bound"),
+    ("commensurability", "bound"),
+    ("kn-action", "bound"),
+    ("equivariant-maps", "bound"),
+    ("i-complex", "bound"),
+])
+def test_verify_bound_reaches_suite_parameter(suite, key, capsys):
+    code, out, _ = run_cli(["verify", "--suite", suite, "--bound", "2",
+                            "--max-denominator", "1", "--json"], capsys)
+    assert code == 0
+    params = json.loads(out)["result"]["parameters"]
+    assert params[key] == 2
+    if "line_bound" in params:
+        assert params["line_bound"] == 1
+
+
+@pytest.mark.parametrize("far", ["1e400", "1e-400"])
+def test_line_distance_beyond_float_exits_1(far, capsys):
+    # 1e400 overflowed the float width; 1e-400 printed distance 0.0 for
+    # two distinct lines
+    code, out, err = run_cli(["line-distance", "0", "0", "0", far], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("precondition violated: ")
+    assert "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "log.json"
     code, out, _ = run_cli(

@@ -18,8 +18,8 @@ from kleingroup import (
     line_grid,
     stabilizes,
     subgroup,
-    verify_i_complex,
 )
+from kleingroup.verify import i_complex_suite
 
 
 def test_isotropy_case_table():
@@ -113,8 +113,8 @@ def test_descriptor_validation():
 
 
 def test_verify_i_complex_passes():
-    report = verify_i_complex(4)
-    assert report.passed, report.counterexamples
+    report = i_complex_suite(4)
+    assert report.ok, report.failures
     assert report.checks > 0
 
 

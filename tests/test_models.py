@@ -24,7 +24,6 @@ from kleingroup import (
     shift_action,
     subgroup,
 )
-from kleingroup.models import reflection_sign
 
 ELEMS = [GroupElement(n, m) for n in range(-6, 7) for m in range(-6, 7)]
 
@@ -74,11 +73,6 @@ def test_axis_projection_equivariance():
         for x in pts[:30]:
             assert axis_projection(act_point(g, x)) == \
                 shift_action(g, axis_projection(x))
-
-
-def test_reflection_sign():
-    assert reflection_sign(GroupElement(3, 2)) == 1
-    assert reflection_sign(GroupElement(3, -1)) == -1
 
 
 def test_line_quotient_values():

@@ -1,5 +1,6 @@
 """Plane action, line action, the line metric, and freeness."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,13 @@ def test_point_action_free(g, p):
         assert g == IDENTITY
 
 
+@given(lines)
+def test_line_triple_is_normalized_and_views_rebuild_it(line):
+    assert math.gcd(line.a, line.b, line.c) == 1
+    assert line.b > 0 or (line.b == 0 and line.a > 0)
+    assert Line(line.slope, line.intercept) == line
+
+
 def test_line_action_examples():
     g = GroupElement(1, 1)
     img = act_line(g, Line(Fraction(2, 3), Fraction(1, 4)))
@@ -125,6 +133,13 @@ def test_metric_invariant_under_action(g, l1, l2):
 @given(lines)
 def test_every_line_is_an_axis(line):
     assert is_axis(line)
+
+
+@pytest.mark.parametrize("far", [Fraction(10**400), Fraction(1, 10**400), Fraction(10**17)])
+def test_distance_beyond_float_raises(far):
+    # the float value could not stay strictly inside (0, 1)
+    with pytest.raises(ValueError):
+        line_distance(Line(Fraction(0), Fraction(0)), Line(Fraction(0), far))
 
 
 def test_distance_strictly_below_one_for_parallel():
