@@ -27,7 +27,8 @@ class GroupElement:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
+        # exact type: bool is an int subclass but not a coordinate
+        if type(self.n) is not int or type(self.m) is not int:
             raise TypeError("coordinates must be integers")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":

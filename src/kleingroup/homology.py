@@ -51,21 +51,23 @@ def simplicial_homology(x: SimplicialComplex, reduced: bool = False) -> GradedGr
     return homology_of_chain(x.boundary_matrices(), reduced=reduced)
 
 
+def _kunneth_degree(hx: GradedGroups, hy: GradedGroups, n: int) -> AbelianGroup:
+    """The tensor terms of total degree n plus the Tor terms one below."""
+    acc = TRIVIAL
+    for i in range(n + 1):
+        acc = acc.direct_sum(hx[i].tensor(hy[n - i]))
+    for i in range(n):
+        acc = acc.direct_sum(hx[i].tor(hy[n - 1 - i]))
+    return acc
+
+
 def kunneth_product(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
     """Homology of a product space from unreduced factor homologies:
     tensor terms in the same total degree plus Tor terms one below."""
     if hx.reduced or hy.reduced:
         raise ValueError("kunneth_product takes unreduced homologies")
     top = hx.top_degree + hy.top_degree + 1
-    groups = []
-    for n in range(top + 1):
-        acc = TRIVIAL
-        for i in range(n + 1):
-            acc = acc.direct_sum(hx[i].tensor(hy[n - i]))
-        for i in range(n):
-            acc = acc.direct_sum(hx[i].tor(hy[n - 1 - i]))
-        groups.append(acc)
-    return GradedGroups(tuple(groups))
+    return GradedGroups(tuple(_kunneth_degree(hx, hy, n) for n in range(top + 1)))
 
 
 def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
@@ -77,17 +79,9 @@ def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
     """
     if not (hx.reduced and hy.reduced):
         raise ValueError("kunneth_join takes reduced homologies")
-    top = hx.top_degree + hy.top_degree + 2
-    groups = [TRIVIAL]
-    for m in range(1, top + 1):
-        n = m - 1
-        acc = TRIVIAL
-        for i in range(n + 1):
-            acc = acc.direct_sum(hx[i].tensor(hy[n - i]))
-        for i in range(n):
-            acc = acc.direct_sum(hx[i].tor(hy[n - 1 - i]))
-        groups.append(acc)
-    return GradedGroups(tuple(groups), reduced=True)
+    top = hx.top_degree + hy.top_degree + 1
+    groups = (TRIVIAL,) + tuple(_kunneth_degree(hx, hy, n) for n in range(top + 1))
+    return GradedGroups(groups, reduced=True)
 
 
 def join_sequence_check(hx: GradedGroups, hy: GradedGroups) -> list[dict]:
@@ -122,14 +116,17 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     """Unreduced homology of the truncated second model: the join of
     ``circles`` disjoint circles with the Klein bottle.
 
-    method "kunneth" assembles it from the factor homologies; method
-    "simplicial" triangulates the join and runs the boundary matrices
-    (capped at {cap} circles to keep matrix sizes sane).
+    method "kunneth" assembles it from the factor homologies: the
+    circles' in closed form (reduced Z^(N-1) in degree 0 and Z^N in
+    degree 1 for N circles) and the Klein bottle's from its
+    triangulation; method "simplicial" triangulates the join and runs
+    the boundary matrices (capped at {cap} circles to keep matrix sizes
+    sane).
     """
     if circles < 1:
         raise ValueError("need at least one circle")
     if method == "kunneth":
-        hx = simplicial_homology(disjoint_circles(circles), reduced=True)
+        hx = GradedGroups((AbelianGroup(circles - 1), AbelianGroup(circles)), reduced=True)
         hk = simplicial_homology(klein_complex(), reduced=True)
         return kunneth_join(hx, hk).to_unreduced()
     if method == "simplicial":

@@ -61,16 +61,22 @@ CASES = [
 ]
 
 
+def _run(name: str, argv: list[str]) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"case {name} exited {code}")
+    return buf.getvalue()
+
+
 def generate() -> dict:
-    out = {}
-    for name, argv in CASES:
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main(argv + ["--json"])
-        if code != 0:
-            raise SystemExit(f"case {name} exited {code}")
-        out[name] = {"argv": argv, "stdout": buf.getvalue()}
-    return out
+    """Each case's stdout with --json under "stdout", without it under "text"."""
+    return {
+        name: {"argv": argv, "stdout": _run(name, argv + ["--json"]),
+               "text": _run(name, argv)}
+        for name, argv in CASES
+    }
 
 
 if __name__ == "__main__":

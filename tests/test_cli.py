@@ -142,6 +142,16 @@ def test_verify_all_runs_every_suite(capsys):
     assert len(names) == 8
 
 
+def test_verify_all_passes_at_bound_1(capsys):
+    # equivariant-maps looked for the unit shift on the --bound grid, which
+    # at bound 1 misses it for most flat representatives
+    code, out, _ = run_cli(["verify", "--bound", "1", "--json"], capsys)
+    assert code == 0
+    records = [json.loads(line)["result"] for line in out.splitlines()]
+    assert len(records) == 8
+    assert all(r["ok"] for r in records)
+
+
 def test_verify_zero_checks_fails(capsys):
     code, out, _ = run_cli(["verify", "--suite", "isotropy", "--bound", "-3"], capsys)
     assert code == 1

@@ -45,6 +45,14 @@ def test_identity_element():
     assert not g.is_identity()
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1)])
+def test_coordinates_must_be_exact_ints(bad):
+    with pytest.raises(TypeError):
+        GroupElement(bad, 0)
+    with pytest.raises(TypeError):
+        GroupElement(0, bad)
+
+
 def test_known_inverses():
     assert inv(GroupElement(3, 1)) == GroupElement(3, -1)
     assert inv(GroupElement(3, 2)) == GroupElement(-3, -2)

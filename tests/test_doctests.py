@@ -1,7 +1,9 @@
-"""The docstring examples of every kleingroup module run as tests."""
+"""The docstring examples of every kleingroup module and the README's
+quick tour run as tests."""
 
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -17,3 +19,10 @@ MODULES = ["kleingroup"] + [
 def test_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0, result
+
+
+def test_readme_examples():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0, result
+    assert result.attempted > 0

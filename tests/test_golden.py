@@ -1,7 +1,7 @@
 """Byte-exact replay of the committed CLI transcript.
 
-tests/golden/cases.json freezes the JSON output of one invocation per
-documented example.  Regenerate deliberately with
+tests/golden/cases.json freezes the JSON output ("stdout") and the text
+output ("text") of one invocation per documented example.  Regenerate deliberately with
 ``python3 tests/golden/regen.py`` and review the diff.
 """
 
@@ -23,6 +23,15 @@ def test_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == case["stdout"], f"drift in {name}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text(name, capsys):
+    case = CASES[name]
+    code = main(case["argv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == case["text"], f"text drift in {name}"
 
 
 def test_manifest_covers_every_subcommand_with_output_examples():
