@@ -8,6 +8,7 @@ Tor products by gcd bookkeeping, which is all the Kunneth formulas need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
 
 from .snf import invariant_factor_chain
@@ -40,8 +41,7 @@ class AbelianGroup:
     def from_moduli(cls, rank: int, moduli) -> "AbelianGroup":
         """Build from any list of cyclic orders, renormalizing to a chain
         and dropping trivial factors."""
-        chain = invariant_factor_chain([d for d in moduli if d != 1])
-        return cls(rank, tuple(d for d in chain if d > 1))
+        return cls(rank, tuple(d for d in invariant_factor_chain(list(moduli)) if d > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -90,22 +90,13 @@ class AbelianGroup:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        for d, count in _run_lengths(self.torsion):
+        for d, run in groupby(self.torsion):
+            count = len(list(run))
             parts.append(f"Z_{d}" if count == 1 else f"Z_{d}^{count}")
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-
-def _run_lengths(seq):
-    out: list[list] = []
-    for x in seq:
-        if out and out[-1][0] == x:
-            out[-1][1] += 1
-        else:
-            out.append([x, 1])
-    return [(x, c) for x, c in out]
 
 
 TRIVIAL = AbelianGroup()

@@ -451,9 +451,6 @@ def _h_verify(a):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit canonical JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    common.add_argument("--max-denominator", type=int, default=None,
-                        help="denominator bound for sampling grids")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="also write the output to FILE")
 
@@ -475,6 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  default="kunneth")
     cmd["verify"].add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
     cmd["verify"].add_argument("--bound", type=int, default=None)
+    cmd["verify"].add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    cmd["verify"].add_argument("--max-denominator", type=int, default=None,
+                               help="denominator bound for sampling grids")
     return parser
 
 

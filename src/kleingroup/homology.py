@@ -35,10 +35,8 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
         free = dim - ranks[n] - ranks[n + 1]
         if free < 0:
             raise ValueError("boundary ranks exceed chain dimension")
-        torsion = []
-        if n < len(forms):
-            torsion = [d for d in forms[n][0] if d > 1]
-        groups.append(AbelianGroup.from_moduli(free, torsion))
+        torsion = forms[n][0] if n < len(forms) else []
+        groups.append(AbelianGroup(free, tuple(d for d in torsion if d > 1)))
     out = GradedGroups(tuple(groups))
     return out.to_reduced() if reduced else out
 

@@ -3,7 +3,7 @@
 Vertices can be any mutually sortable hashable labels; constructions
 that combine two complexes relabel to integers first.  Boundary
 operators use the sorted vertex order, with the usual alternating
-signs.
+signs, and fill the sparse rows of an ``IntMatrix`` directly.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ class SimplicialComplex:
         out = []
         for d in range(1, self.dim + 1):
             index = {s: i for i, s in enumerate(self._by_dim[d - 1])}
-            mat = IntMatrix.zeros(len(self._by_dim[d - 1]), len(self._by_dim[d]))
+            rows: dict[int, dict[int, int]] = {}
             for j, s in enumerate(self._by_dim[d]):
                 for k in range(len(s)):
-                    face = s[:k] + s[k + 1 :]
-                    mat.data[index[face]][j] += (-1) ** k
+                    rows.setdefault(index[s[:k] + s[k + 1 :]], {})[j] = (-1) ** k
+            mat = IntMatrix.zeros(len(self._by_dim[d - 1]), len(self._by_dim[d]))
+            mat.rows = {i: rows[i] for i in sorted(rows)}
             out.append(mat)
         return out
 

@@ -1,26 +1,29 @@
-"""Exact integer matrices and Smith normal form.
+"""Sparse exact integer matrices and Smith normal form.
 
-Entries are Python ints, so nothing overflows.  The reduction keeps a
-sparse view of the matrix and always pivots on a smallest-magnitude
-entry, which bounds coefficient growth on the matrices that show up
-here (boundary operators, mostly +-1 entries).
+An ``IntMatrix`` keeps only its nonzero entries, row by row, from
+boundary construction to the reduction.  Entries are Python ints, so
+nothing overflows.  Pivots are units while any is left, else smallest
+entries, which bounds coefficient growth on boundary operators.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd
 
 
 class IntMatrix:
-    """A dense rows x cols integer matrix."""
+    """A sparse nrows x ncols integer matrix: ``rows`` maps each row
+    with a nonzero entry to its {column: entry} dict, both in index
+    order, which fixes the order in which the reduction meets pivots."""
 
-    __slots__ = ("nrows", "ncols", "data")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, data, ncols: int | None = None):
-        self.data = [list(row) for row in data]
-        self.nrows = len(self.data)
+        data = [list(row) for row in data]
+        self.nrows = len(data)
         if self.nrows:
-            widths = {len(r) for r in self.data}
+            widths = {len(r) for r in data}
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             self.ncols = widths.pop()
@@ -28,21 +31,34 @@ class IntMatrix:
                 raise ValueError("ncols disagrees with data")
         else:
             self.ncols = 0 if ncols is None else ncols
-        for row in self.data:
-            for v in row:
-                if not isinstance(v, int):
-                    raise TypeError("entries must be ints")
+        if not all(isinstance(v, int) for row in data for v in row):
+            raise TypeError("entries must be ints")
+        self.rows: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(data):
+            if r := {j: v for j, v in enumerate(row) if v}:
+                self.rows[i] = r
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.rows = nrows, ncols, {}
+        return m
+
+    @property
+    def data(self) -> list[list[int]]:
+        """A fresh dense copy of the entries: a read-only view."""
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for i, r in self.rows.items():
+            for j, v in r.items():
+                out[i][j] = v
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.data == other.data
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
@@ -52,76 +68,85 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = IntMatrix.zeros(self.nrows, other.ncols)
-        for i, row in enumerate(self.data):
-            acc = out.data[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
+        for i, row in self.rows.items():
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in other.rows.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if nonzero := {j: v for j, v in sorted(acc.items()) if v}:
+                out.rows[i] = nonzero
         return out
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not self.rows
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are small)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 such that each of ``values`` (each
+    > 1) is a product of their powers, found by gcd splitting alone."""
+    base: list[int] = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        for idx, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[idx]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def invariant_factor_chain(moduli: list[int]) -> list[int]:
     """Sort a list of moduli (each >= 1) into a divisibility chain d1|d2|...
 
-    The chain presents the same group Z/d1 + Z/d2 + ...; largest prime
-    powers sink to the end.
+    The chain presents the same group Z/d1 + Z/d2 + ...; the largest
+    powers of each coprime base element sink to the end.
 
     >>> invariant_factor_chain([2, 3])
     [1, 6]
     >>> invariant_factor_chain([4, 6])
     [2, 12]
     """
-    r = len(moduli)
-    exps: dict[int, list[int]] = defaultdict(list)
-    for d in moduli:
-        if d < 1:
-            raise ValueError("moduli must be positive")
-        for p, e in _factor(d).items():
-            exps[p].append(e)
-    chain = [1] * r
-    for p, es in exps.items():
-        es.sort()
-        for offset, e in enumerate(es):
-            chain[r - len(es) + offset] *= p**e
+    if min(moduli, default=1) < 1:
+        raise ValueError("moduli must be positive")
+    big = [d for d in moduli if d > 1]
+    chain = [1] * len(moduli)
+    for b in _coprime_base(set(big)):
+        es: list[int] = []
+        for d in big:
+            e = 0
+            while d % b == 0:
+                d, e = d // b, e + 1
+            es.append(e)
+        for k, e in enumerate(sorted(es), len(chain) - len(es)):
+            chain[k] *= b**e
     return chain
 
 
 def _round_div(a: int, p: int) -> int:
-    # quotient q minimizing |a - q*p|, for p > 0
-    q, r = divmod(a, p)
-    if 2 * r > p:
-        q += 1
-    return q
+    # quotient q minimizing |a - q*p|, for p > 0 (halves round down)
+    return (2 * a + p - 1) // (2 * p)
+
+
+def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """The first unit entry, else the first entry of smallest magnitude."""
+    least, at = 0, (0, 0)
+    for i, r in rows.items():
+        for j, v in r.items():
+            if v == 1 or v == -1:
+                return i, j
+            if not least or abs(v) < least:
+                least, at = abs(v), (i, j)
+    return at
 
 
 def _diagonal_moduli(m: IntMatrix) -> list[int]:
     """Diagonalize by unimodular row/column operations; return the
     positive diagonal entries (not yet chained)."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(m.data):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
+    rows = {i: dict(r) for i, r in m.rows.items()}
     cols: dict[int, set[int]] = defaultdict(set)
     for i, r in rows.items():
         for j in r:
@@ -129,7 +154,7 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
 
     def add_row(dst: int, src: int, c: int) -> None:
         # row[dst] += c * row[src]
-        target = rows.setdefault(dst, {})
+        target = rows[dst]
         for j, v in rows[src].items():
             new = target.get(j, 0) + c * v
             if new:
@@ -155,44 +180,29 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
 
     moduli: list[int] = []
     while rows:
-        pi, pj = min(
-            ((i, j) for i, r in rows.items() for j in r),
-            key=lambda t: abs(rows[t[0]][t[1]]),
-        )
+        pi, pj = _pivot(rows)
         while True:
             if rows[pi][pj] < 0:
-                for j in list(rows[pi]):
-                    rows[pi][j] = -rows[pi][j]
+                rows[pi] = {j: -v for j, v in rows[pi].items()}
             p = rows[pi][pj]
-            moved = False
-            for i in list(cols[pj]):
-                if i == pi or i not in rows or pj not in rows[i]:
-                    continue
-                q = _round_div(rows[i][pj], p)
-                if q:
+            # clear the pivot column, then the pivot row; a nonzero
+            # remainder is smaller than p and takes over as pivot
+            for i in [i for i in cols[pj] if i != pi]:
+                if q := _round_div(rows[i][pj], p):
                     add_row(i, pi, -q)
                 if i in rows and rows[i].get(pj):
-                    pi = i  # strictly smaller remainder takes over as pivot
-                    moved = True
+                    pi = i
                     break
-            if moved:
-                continue
-            p = rows[pi][pj]
-            for j in list(rows[pi]):
-                if j == pj:
-                    continue
-                q = _round_div(rows[pi][j], p)
-                if q:
-                    add_col(j, pj, -q)
-                if rows[pi].get(j):
-                    pj = j
-                    moved = True
+            else:
+                for j in [j for j in rows[pi] if j != pj]:
+                    if q := _round_div(rows[pi][j], p):
+                        add_col(j, pj, -q)
+                    if rows[pi].get(j):
+                        pj = j
+                        break
+                else:
                     break
-            if moved:
-                continue
-            break
-        moduli.append(rows[pi][pj])
-        del rows[pi]
+        moduli.append(rows.pop(pi)[pj])
         cols[pj].discard(pi)
     return moduli
 

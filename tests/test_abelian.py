@@ -18,6 +18,9 @@ def test_normal_form():
     assert AbelianGroup.from_moduli(2, [1, 1]) == AbelianGroup(2)
     assert AbelianGroup.from_moduli(0, [2, 3]) == AbelianGroup(0, (6,))
     assert AbelianGroup.from_moduli(0, []) == TRIVIAL
+    # trial-division factoring hung on this product of two Mersenne primes
+    semiprime = (2**61 - 1) * (2**89 - 1)
+    assert AbelianGroup.from_moduli(0, [semiprime]) == AbelianGroup(0, (semiprime,))
 
 
 def test_validation():

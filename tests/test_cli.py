@@ -81,6 +81,9 @@ def test_parse_error_exits_2():
                  ["pow", "1", "2", "x"],        # not an integer
                  ["isotropy", "1..2", "0"],     # not a rational
                  ["nonsense"],                  # unknown command
+                 # only verify takes --seed and --max-denominator
+                 ["mul", "1", "1", "1", "1", "--max-denominator", "3"],
+                 ["homology", "--seed", "9"],
                  []):                           # no command
         with pytest.raises(SystemExit) as exc:
             main(argv)

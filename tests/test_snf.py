@@ -5,6 +5,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleingroup import IntMatrix, invariant_factor_chain, smith_normal_form
 
@@ -107,6 +109,33 @@ def test_larger_structured_matrix():
     assert all(f == 1 for f in factors)
 
 
+@st.composite
+def matrices(draw):
+    nr, nc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.booleans()):  # sparse: mostly zeros, small entries
+        entry = st.sampled_from((0, 0, 0, 0, 0, 0, -2, -1, 1, 2, 3))
+    else:
+        entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    return IntMatrix(rows, ncols=nc)
+
+
+def test_matches_sympy_smith_normal_form():
+    # an independent SNF reaches past the 5 x 5 limit of the minor oracle
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def check(m):
+        flat = [v for row in m.data for v in row]
+        d = normalforms.smith_normal_form(sympy.Matrix(m.nrows, m.ncols, flat), domain=sympy.ZZ)
+        diagonal = [abs(d[k, k]) for k in range(min(m.nrows, m.ncols)) if d[k, k]]
+        assert smith_normal_form(m) == (diagonal, len(diagonal))
+
+    check()
+
+
 def test_invariant_factor_chain():
     assert invariant_factor_chain([2, 3]) == [1, 6]
     assert invariant_factor_chain([4, 6]) == [2, 12]
@@ -114,6 +143,11 @@ def test_invariant_factor_chain():
     assert invariant_factor_chain([12, 10, 9]) == [1, 6, 180]
     assert invariant_factor_chain([]) == []
     assert invariant_factor_chain([1, 1]) == [1, 1]
+    # no factoring: a product of two Mersenne primes and long lists chain at once
+    semiprime = (2**61 - 1) * (2**89 - 1)
+    assert invariant_factor_chain([semiprime, 6]) == [1, 6 * semiprime]
+    assert invariant_factor_chain([2] * 100000) == [2] * 100000
+    assert invariant_factor_chain([2, 3] * 2000) == [1] * 2000 + [6] * 2000
     with pytest.raises(ValueError):
         invariant_factor_chain([0])
 
