@@ -5,173 +5,24 @@ infinite cyclic subgroups with commensurability data, the actions on
 the plane and on the space of affine lines, isotropy and fixed-set
 classification, two symbolic classifying-space assemblies, and an
 integer homology engine that evaluates the models at finite stages.
+
+Each library module's ``__all__`` is the one list of its public names;
+the package re-exports all of them.
 """
 
-from .abelian import TRIVIAL, Z, Z2, AbelianGroup, GradedGroups
-from .core import (
-    AFFINE_IDENTITY,
-    AffineMap,
-    GroupElement,
-    IDENTITY,
-    as_affine,
-    conj,
-    inv,
-    mul,
-    power,
-)
-from .homology import (
-    homology_of_chain,
-    join_sequence_check,
-    kunneth_join,
-    kunneth_product,
-    model_homology,
-    simplicial_homology,
-)
-from .isotropy import (
-    FixedSetDescriptor,
-    canonical_subgroups,
-    fixed_set,
-    isotropy_group,
-    line_grid,
-)
-from .models import (
-    ModelDescriptor,
-    ModelPiece,
-    axis_projection,
-    flat_representatives,
-    index_action,
-    index_stabilizer,
-    join_report,
-    line_quotient,
-    pushout_report,
-    quotient_shift,
-    shift_action,
-)
-from .plane import (
-    Line,
-    LineDistance,
-    PlanePoint,
-    VERTICAL,
-    act_line,
-    act_point,
-    is_axis,
-    line_distance,
-    stabilizes,
-)
-from .simplicial import (
-    KLEIN_TRIANGLES,
-    SimplicialComplex,
-    circle_complex,
-    disjoint_circles,
-    disjoint_union,
-    join,
-    klein_complex,
-    point_complex,
-    product,
-)
-from .snf import IntMatrix, invariant_factor_chain, smith_normal_form
-from .subgroups import (
-    ALL_FAMILY,
-    CommClass,
-    Commensurator,
-    CyclicSubgroup,
-    SubgroupFamily,
-    TRANSLATIONS,
-    TRIVIAL_FAMILY,
-    WHOLE_GROUP,
-    canonicalize,
-    class_family,
-    comm_class,
-    commensurable,
-    commensurator,
-    conj_subgroup,
-    contains,
-    family_contains,
-    maximal_containing,
-    powers,
-    subgroup,
-)
-from .verify import SUITES, SuiteReport, run_suite
+from . import abelian, core, homology, isotropy, models, plane, simplicial, snf, subgroups, verify
+from .abelian import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .homology import *  # noqa: F401,F403
+from .isotropy import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .plane import *  # noqa: F401,F403
+from .simplicial import *  # noqa: F401,F403
+from .snf import *  # noqa: F401,F403
+from .subgroups import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFFINE_IDENTITY",
-    "ALL_FAMILY",
-    "AbelianGroup",
-    "AffineMap",
-    "CommClass",
-    "Commensurator",
-    "CyclicSubgroup",
-    "FixedSetDescriptor",
-    "GradedGroups",
-    "GroupElement",
-    "IDENTITY",
-    "IntMatrix",
-    "KLEIN_TRIANGLES",
-    "Line",
-    "LineDistance",
-    "ModelDescriptor",
-    "ModelPiece",
-    "PlanePoint",
-    "SUITES",
-    "SimplicialComplex",
-    "SubgroupFamily",
-    "SuiteReport",
-    "TRANSLATIONS",
-    "TRIVIAL",
-    "TRIVIAL_FAMILY",
-    "VERTICAL",
-    "WHOLE_GROUP",
-    "Z",
-    "Z2",
-    "act_line",
-    "act_point",
-    "as_affine",
-    "axis_projection",
-    "canonical_subgroups",
-    "canonicalize",
-    "circle_complex",
-    "class_family",
-    "comm_class",
-    "commensurable",
-    "commensurator",
-    "conj",
-    "conj_subgroup",
-    "contains",
-    "disjoint_circles",
-    "disjoint_union",
-    "family_contains",
-    "fixed_set",
-    "flat_representatives",
-    "homology_of_chain",
-    "index_action",
-    "index_stabilizer",
-    "inv",
-    "is_axis",
-    "isotropy_group",
-    "join",
-    "join_report",
-    "join_sequence_check",
-    "klein_complex",
-    "kunneth_join",
-    "kunneth_product",
-    "line_distance",
-    "line_grid",
-    "line_quotient",
-    "maximal_containing",
-    "model_homology",
-    "mul",
-    "point_complex",
-    "power",
-    "powers",
-    "product",
-    "pushout_report",
-    "quotient_shift",
-    "run_suite",
-    "shift_action",
-    "simplicial_homology",
-    "smith_normal_form",
-    "stabilizes",
-    "subgroup",
-]
+_LIBRARY = (abelian, core, homology, isotropy, models, plane, simplicial, snf, subgroups, verify)
+__all__ = [name for module in _LIBRARY for name in module.__all__]

@@ -121,15 +121,22 @@ class ModelDescriptor:
             raise ValueError("unknown model kind")
 
 
+# The largest orbit bound pushout_report accepts: 10,045 pieces.
+PUSHOUT_CAP = 128
+
+
 def pushout_report(orbit_bound: int) -> ModelDescriptor:
     """The pushout model, truncated to the flat classes of bounded
     reduced generators.
 
     Always exactly one horizontal piece and one odd/vertical piece; the
-    flat pieces enumerate :func:`flat_representatives`.
+    flat pieces enumerate :func:`flat_representatives`, about
+    0.6 * orbit_bound**2 of them, so orbit_bound is capped at PUSHOUT_CAP.
     """
     if orbit_bound < 0:
         raise ValueError("orbit_bound must be nonnegative")
+    if orbit_bound > PUSHOUT_CAP:
+        raise ValueError(f"orbit_bound capped at {PUSHOUT_CAP}")
     pieces = [
         ModelPiece(
             label="horizontal",
@@ -208,5 +215,6 @@ __all__ = [
     "quotient_shift",
     "flat_representatives",
     "pushout_report",
+    "PUSHOUT_CAP",
     "join_report",
 ]

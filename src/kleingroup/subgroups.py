@@ -199,32 +199,24 @@ class SubgroupFamily:
       the families built here, so membership is plain containment);
     - "odd-class": the subgroups commensurable with <(0, 2)> - that is,
       every <(n, 2m+1)> together with the vertical <(0, 2k)> forced in
-      by closure under subgroups - plus the trivial subgroup;
-    - "trivial": only the trivial subgroup;
-    - "all": everything.
+      by closure under subgroups - plus the trivial subgroup.
     """
 
     kind: str
     anchor: CyclicSubgroup | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("commensurable-into", "odd-class", "trivial", "all"):
+        if self.kind not in ("commensurable-into", "odd-class"):
             raise ValueError("unknown family kind")
         if (self.anchor is not None) != (self.kind == "commensurable-into"):
             raise ValueError("exactly the commensurable-into kind takes an anchor")
 
 
-TRIVIAL_FAMILY = SubgroupFamily("trivial")
-ALL_FAMILY = SubgroupFamily("all")
 _ODD_CLASS_ANCHOR = CyclicSubgroup(GroupElement(0, 2))
 
 
 def family_contains(f: SubgroupFamily, s: CyclicSubgroup) -> bool:
     """Membership of the (nontrivial) cyclic subgroup s in the family f."""
-    if f.kind == "all":
-        return True
-    if f.kind == "trivial":
-        return False
     if f.kind == "odd-class":
         return commensurable(s, _ODD_CLASS_ANCHOR)
     return commensurable(s, f.anchor)
@@ -270,8 +262,6 @@ __all__ = [
     "SubgroupFamily",
     "WHOLE_GROUP",
     "TRANSLATIONS",
-    "TRIVIAL_FAMILY",
-    "ALL_FAMILY",
     "canonicalize",
     "subgroup",
     "contains",

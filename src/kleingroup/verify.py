@@ -25,7 +25,7 @@ from .core import (
     mul,
     power,
 )
-from .isotropy import canonical_subgroups, fixed_set, isotropy_group, line_grid
+from .isotropy import _fraction_grid, canonical_subgroups, fixed_set, isotropy_group, line_grid
 from .models import (
     flat_representatives,
     index_action,
@@ -44,6 +44,7 @@ from .subgroups import (
     conj_subgroup,
     contains,
     maximal_containing,
+    powers,
 )
 
 
@@ -81,17 +82,6 @@ def _elements(bound: int) -> list[GroupElement]:
     ]
 
 
-def _points(bound: int, max_denominator: int = 2) -> list[PlanePoint]:
-    vals = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, max_denominator + 1)
-            for p in range(-bound, bound + 1)
-        }
-    )
-    return [PlanePoint(t, r) for t in vals for r in vals]
-
-
 def group_law_suite(bound: int = 10, samples: int = 10000, seed: int = 0) -> SuiteReport:
     """Associativity (vectorized sweep over the whole box), inverses,
     powers against iteration, conjugation against its definition, plus
@@ -105,15 +95,21 @@ def group_law_suite(bound: int = 10, samples: int = 10000, seed: int = 0) -> Sui
     s_h = 1 - 2 * (mh & 1)
     n_hk = nh + s_h * nk
     m_hk = mh + mk
+    # (gh)k and g(hk) go into two buffers reused for every g; fresh square
+    # temporaries per element made the sweep's time depend on heap layout
+    lhs = np.empty_like(n_hk)
+    rhs = np.empty_like(n_hk)
     for gn, gm in vals:
         sg = 1 - 2 * (gm & 1)
         n_gh = gn + sg * nh
         m_gh = gm + mh
         s_gh = 1 - 2 * (m_gh & 1)
-        if not (
-            np.array_equal(n_gh + s_gh * nk, gn + sg * n_hk)
-            and np.array_equal(m_gh + mk, gm + m_hk)
-        ):
+        np.add(np.multiply(s_gh, nk, out=lhs), n_gh, out=lhs)
+        np.add(np.multiply(n_hk, sg, out=rhs), gn, out=rhs)
+        n_ok = np.array_equal(lhs, rhs)
+        np.add(m_gh, mk, out=lhs)
+        np.add(m_hk, gm, out=rhs)
+        if not (n_ok and np.array_equal(lhs, rhs)):
             rep.fail(f"associativity broken somewhere at g=({gn},{gm})")
         rep.checks += len(vals) * len(vals)
 
@@ -248,13 +244,7 @@ def commensurability_suite(bound: int = 10, power_bound: int = 24) -> SuiteRepor
     classes are conjugation invariant; membership matches enumeration."""
     rep = SuiteReport("commensurability", {"bound": bound, "power_bound": power_bound})
     subs = canonical_subgroups(bound)
-    psets = []
-    for s in subs:
-        ps = set()
-        for k in range(1, power_bound + 1):
-            ps.add((power(s.gen, k).n, power(s.gen, k).m))
-            ps.add((power(s.gen, -k).n, power(s.gen, -k).m))
-        psets.append(frozenset(ps))
+    psets = [frozenset((g.n, g.m) for g in powers(s, power_bound)) for s in subs]
     classes = [comm_class(s) for s in subs]
     for i, s in enumerate(subs):
         for j in range(i, len(subs)):
@@ -331,7 +321,8 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
     representative subgroup."""
     rep = SuiteReport("equivariant-maps", {"bound": bound, "rep_bound": rep_bound})
     elements = _elements(bound)
-    pts = _points(2)
+    grid = _fraction_grid(2)
+    pts = [PlanePoint(t, r) for t in grid for r in grid]
     for g in elements:
         for x in pts:
             if axis_projection(act_point(g, x)) != shift_action(g, axis_projection(x)):

@@ -117,6 +117,14 @@ def test_homology_cap_exits_1(capsys):
     assert "capped" in err
 
 
+def test_pushout_report_cap_exits_1(capsys):
+    code, out, err = run_cli(["pushout-report", "--bound", "100000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("precondition violated:")
+    assert "capped" in err
+
+
 def test_pushout_report_counts(capsys):
     code, out, _ = run_cli(["pushout-report", "--bound", "2", "--json"], capsys)
     assert code == 0

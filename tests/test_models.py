@@ -7,6 +7,7 @@ import pytest
 from kleingroup import (
     GroupElement,
     IDENTITY,
+    PUSHOUT_CAP,
     PlanePoint,
     act_point,
     axis_projection,
@@ -202,5 +203,8 @@ def test_join_report_isotropy_matches_case_table():
 def test_report_bound_validation():
     with pytest.raises(ValueError):
         pushout_report(-1)
+    assert len(pushout_report(PUSHOUT_CAP).pieces) == 10_045
+    with pytest.raises(ValueError, match="capped"):
+        pushout_report(PUSHOUT_CAP + 1)
     with pytest.raises(ValueError):
         join_report(0)
