@@ -95,9 +95,6 @@ class AbelianGroup:
             parts.append(f"Z_{d}" if count == 1 else f"Z_{d}^{count}")
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
 
 TRIVIAL = AbelianGroup()
 Z = AbelianGroup(1)
@@ -152,13 +149,6 @@ class GradedGroups:
         prefix = "~H" if self.reduced else "H"
         top = max(self.top_degree, 0)
         return ", ".join(f"{prefix}_{n} = {self[n]}" for n in range(top + 1))
-
-    def to_json(self) -> dict:
-        top = max(self.top_degree, 0)
-        return {
-            "reduced": self.reduced,
-            "groups": {str(n): self[n].to_json() for n in range(top + 1)},
-        }
 
 
 __all__ = ["AbelianGroup", "GradedGroups", "TRIVIAL", "Z", "Z2"]

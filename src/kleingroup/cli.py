@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .abelian import GradedGroups
+from .abelian import AbelianGroup, GradedGroups
 from .core import GroupElement, conj, inv, mul, power
 from .homology import kunneth_join, kunneth_product, model_homology, simplicial_homology
 from .isotropy import FixedSetDescriptor, fixed_set, isotropy_group
@@ -41,7 +41,6 @@ from .plane import (
     VERTICAL,
     act_line,
     act_point,
-    is_axis,
     line_distance,
     stabilizes,
 )
@@ -60,7 +59,7 @@ from .subgroups import (
     family_contains,
     subgroup,
 )
-from .verify import SUITES, SuiteReport, run_suite
+from .verify import SUITES, SuiteReport, run_suite, suite_options
 
 
 # --- argument kinds -----------------------------------------------------------
@@ -94,10 +93,16 @@ def _space_name(text: str) -> str:
     )
 
 
+CIRCLES_CAP = 10_000  # circles:N in product and join; its join with K takes 1.3 s
+
+
 def _build_space(name: str):
     if name in _SPACES:
         return _SPACES[name]()
-    return disjoint_circles(int(name.split(":")[1]))
+    circles = int(name.split(":")[1])
+    if circles > CIRCLES_CAP:
+        raise ValueError(f"circles:N capped at {CIRCLES_CAP}")
+    return disjoint_circles(circles)
 
 
 _KINDS = {"int": int, "rational": _rational, "slope": _slope, "space": _space_name}
@@ -152,8 +157,11 @@ def _json(v):
         case LineDistance():
             return {"parallel": v.parallel, "width_sq": _json(v.width_sq),
                     "distance": v.value}
+        case AbelianGroup():
+            return {"rank": v.rank, "torsion": list(v.torsion)}
         case GradedGroups():
-            return {"homology": v.to_json(), "text": v.text()}
+            groups = {str(n): _json(v[n]) for n in range(max(v.top_degree, 0) + 1)}
+            return {"homology": {"reduced": v.reduced, "groups": groups}, "text": v.text()}
         case ModelPiece():
             return _present({
                 "label": v.label, "space": v.space, "class": v.cls,
@@ -165,7 +173,8 @@ def _json(v):
                     "identifications": _json(v.identifications),
                     "counts": dict(_class_counts(v))}
         case SuiteReport():
-            return v.to_json()
+            return {"suite": v.suite, "parameters": v.parameters, "checks": v.checks,
+                    "failures": v.failures, "ok": v.ok}
     raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
@@ -378,8 +387,8 @@ def _h_stabilizes(a):
 @_command("is-axis", "is a line the axis of a nontrivial element",
           "slope:slope intercept:rational")
 def _h_is_axis(a):
-    line = Line(a.slope, a.intercept)
-    yield ({"line": line}, {"axis": is_axis(line)},
+    # every line with an integer triple is the axis of a nontrivial element
+    yield ({"line": Line(a.slope, a.intercept)}, {"axis": True},
            "every rational or vertical line is an axis")
 
 
@@ -441,8 +450,12 @@ def _h_join(a):
 
 @_command("verify", "run a verification sweep")
 def _h_verify(a):
-    """One record per suite; --suite all runs every suite in name order."""
-    for name in sorted(SUITES) if a.suite == "all" else [a.suite]:
+    """One record per suite; --suite all runs every suite in name order,
+    once every suite has accepted the options."""
+    names = sorted(SUITES) if a.suite == "all" else [a.suite]
+    for name in names:
+        suite_options(name, a.bound, a.seed, a.max_denominator)
+    for name in names:
         report = run_suite(name, bound=a.bound, seed=a.seed,
                            max_denominator=a.max_denominator)
         yield {"suite": name, "bound": a.bound}, report, "verification sweep"

@@ -108,6 +108,7 @@ def join_sequence_check(hx: GradedGroups, hy: GradedGroups) -> list[dict]:
 
 
 SIMPLICIAL_CAP = 4
+KUNNETH_CAP = 1_000_000
 
 
 def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
@@ -117,13 +118,16 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     method "kunneth" assembles it from the factor homologies: the
     circles' in closed form (reduced Z^(N-1) in degree 0 and Z^N in
     degree 1 for N circles) and the Klein bottle's from its
-    triangulation; method "simplicial" triangulates the join and runs
-    the boundary matrices (capped at {cap} circles to keep matrix sizes
-    sane).
+    triangulation, capped at ``KUNNETH_CAP`` = 10^6 circles;
+    method "simplicial" triangulates the join and runs the boundary
+    matrices, capped at ``SIMPLICIAL_CAP`` = 4 circles to keep matrix
+    sizes sane.
     """
     if circles < 1:
         raise ValueError("need at least one circle")
     if method == "kunneth":
+        if circles > KUNNETH_CAP:
+            raise ValueError(f"kunneth method capped at {KUNNETH_CAP} circles")
         hx = GradedGroups((AbelianGroup(circles - 1), AbelianGroup(circles)), reduced=True)
         hk = simplicial_homology(klein_complex(), reduced=True)
         return kunneth_join(hx, hk).to_unreduced()
@@ -134,9 +138,6 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     raise ValueError("method must be 'kunneth' or 'simplicial'")
 
 
-model_homology.__doc__ = model_homology.__doc__.format(cap=SIMPLICIAL_CAP)
-
-
 __all__ = [
     "homology_of_chain",
     "simplicial_homology",
@@ -145,4 +146,5 @@ __all__ = [
     "join_sequence_check",
     "model_homology",
     "SIMPLICIAL_CAP",
+    "KUNNETH_CAP",
 ]

@@ -153,15 +153,6 @@ def stabilizes(g: GroupElement, line: Line) -> bool:
     return (b == 0 or s == 1) and a * g.n + b * g.m == (1 - s) * c
 
 
-def is_axis(line: Line) -> bool:
-    """Whether the line is the axis of some nontrivial element.
-
-    Every line with an integer triple is; the data model admits nothing
-    else.
-    """
-    return True
-
-
 __all__ = [
     "PlanePoint",
     "Line",
@@ -171,5 +162,4 @@ __all__ = [
     "act_line",
     "line_distance",
     "stabilizes",
-    "is_axis",
 ]

@@ -3,7 +3,9 @@
 An ``IntMatrix`` keeps only its nonzero entries, row by row, from
 boundary construction to the reduction.  Entries are Python ints, so
 nothing overflows.  Pivots are units while any is left, else smallest
-entries, which bounds coefficient growth on boundary operators.
+entries, which bounds coefficient growth on boundary operators.  Row
+operations clear a pivot's column; the column operations that clear its
+row then touch that row alone, so they reduce to remainders mod the pivot.
 """
 
 from __future__ import annotations
@@ -144,8 +146,10 @@ def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
 
 
 def _diagonal_moduli(m: IntMatrix) -> list[int]:
-    """Diagonalize by unimodular row/column operations; return the
-    positive diagonal entries (not yet chained)."""
+    """Diagonalize by unimodular operations; return the positive
+    diagonal entries (not yet chained).  Row operations clear the pivot
+    column; then each other entry of the pivot row becomes its balanced
+    remainder modulo the pivot, and a nonzero one takes over as pivot."""
     rows = {i: dict(r) for i, r in m.rows.items()}
     cols: dict[int, set[int]] = defaultdict(set)
     for i, r in rows.items():
@@ -166,18 +170,6 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
         if not target:
             del rows[dst]
 
-    def add_col(dst: int, src: int, c: int) -> None:
-        # col[dst] += c * col[src]
-        for i in list(cols[src]):
-            v = rows[i][src]
-            new = rows[i].get(dst, 0) + c * v
-            if new:
-                rows[i][dst] = new
-                cols[dst].add(i)
-            elif dst in rows[i]:
-                del rows[i][dst]
-                cols[dst].discard(i)
-
     moduli: list[int] = []
     while rows:
         pi, pj = _pivot(rows)
@@ -185,8 +177,6 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
             if rows[pi][pj] < 0:
                 rows[pi] = {j: -v for j, v in rows[pi].items()}
             p = rows[pi][pj]
-            # clear the pivot column, then the pivot row; a nonzero
-            # remainder is smaller than p and takes over as pivot
             for i in [i for i in cols[pj] if i != pi]:
                 if q := _round_div(rows[i][pj], p):
                     add_row(i, pi, -q)
@@ -194,12 +184,14 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
                     pi = i
                     break
             else:
-                for j in [j for j in rows[pi] if j != pj]:
-                    if q := _round_div(rows[pi][j], p):
-                        add_col(j, pj, -q)
-                    if rows[pi].get(j):
+                row = rows[pi]
+                for j in [j for j in row if j != pj]:
+                    if r := row[j] - _round_div(row[j], p) * p:
+                        row[j] = r
                         pj = j
                         break
+                    del row[j]
+                    cols[j].discard(pi)
                 else:
                     break
         moduli.append(rows.pop(pi)[pj])

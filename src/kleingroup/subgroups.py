@@ -151,9 +151,8 @@ def comm_class(s: CyclicSubgroup) -> CommClass:
         return CommClass("H")
     if m % 2 or n == 0:
         return CommClass("K")
-    d = gcd(abs(n), m // 2)
-    a, b = n // d, m // d
-    return CommClass("R", CyclicSubgroup(GroupElement(abs(a), b)))
+    g = maximal_containing(s).gen
+    return CommClass("R", CyclicSubgroup(GroupElement(abs(g.n), g.m)))
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,6 @@ class SuiteReport:
         if len(self.failures) < 10:
             self.failures.append(msg)
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "parameters": self.parameters,
-            "checks": self.checks,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
 
 def _elements(bound: int) -> list[GroupElement]:
     return [
@@ -238,13 +229,19 @@ def _mirror_powerset(pset: frozenset) -> frozenset:
     return frozenset((-n, m) for n, m in pset)
 
 
-def commensurability_suite(bound: int = 10, power_bound: int = 24) -> SuiteReport:
+def commensurability_suite(bound: int = 10) -> SuiteReport:
     """Closed-form commensurability against the power-intersection
     oracle; class equality matches commensurability up to the flip;
-    classes are conjugation invariant; membership matches enumeration."""
-    rep = SuiteReport("commensurability", {"bound": bound, "power_bound": power_bound})
+    classes are conjugation invariant; membership matches enumeration.
+
+    Two generators with coordinates at most ``bound`` that share a power
+    share one with exponent at most 2 * bound, since an odd generator
+    squares into the vertical line; the membership box needs exponent 6.
+    """
+    rep = SuiteReport("commensurability", {"bound": bound})
     subs = canonical_subgroups(bound)
-    psets = [frozenset((g.n, g.m) for g in powers(s, power_bound)) for s in subs]
+    exponent = max(2 * bound, 6)
+    psets = [frozenset((g.n, g.m) for g in powers(s, exponent)) for s in subs]
     classes = [comm_class(s) for s in subs]
     for i, s in enumerate(subs):
         for j in range(i, len(subs)):
@@ -385,35 +382,45 @@ SUITES = {
 }
 
 
-# What the common options set in each suite: the keyword --bound sets,
-# the keyword --max-denominator sets, and whether the suite takes a seed.
+# What the common options set in each suite: the keyword that --bound
+# sets and its cap, and the keyword that --max-denominator sets and its
+# cap.  Every suite runs in about 5 s or less at its caps on a 2-vCPU box.
 _OPTIONS = {
-    "group-law": ("bound", None, True),
-    "representation": ("bound", None, False),
-    "isotropy": ("element_bound", "line_bound", False),
-    "fixed-set": ("gen_bound", "line_bound", False),
-    "commensurability": ("bound", None, False),
-    "kn-action": ("bound", None, False),
-    "equivariant-maps": ("bound", None, False),
-    "i-complex": ("bound", None, False),
+    "group-law": {"bound": ("bound", 12)},
+    "representation": {"bound": ("bound", 14)},
+    "isotropy": {"bound": ("element_bound", 12), "max_denominator": ("line_bound", 6)},
+    "fixed-set": {"bound": ("gen_bound", 12), "max_denominator": ("line_bound", 8)},
+    "commensurability": {"bound": ("bound", 16)},
+    "kn-action": {"bound": ("bound", 10)},
+    "equivariant-maps": {"bound": ("bound", 20)},
+    "i-complex": {"bound": ("bound", 16)},
 }
+
+
+def suite_options(name: str, bound: int | None = None, seed: int = 0,
+                  max_denominator: int | None = None) -> dict:
+    """The keyword arguments that the common options give suite ``name``;
+    raises ValueError above a cap.  Only group-law takes the seed."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    kwargs: dict = {"seed": seed} if name == "group-law" else {}
+    for option, value in (("bound", bound), ("max_denominator", max_denominator)):
+        if value is not None and option in _OPTIONS[name]:
+            key, cap = _OPTIONS[name][option]
+            if value > cap:
+                raise ValueError(f"{name}: {key} capped at {cap}")
+            kwargs[key] = value
+    return kwargs
 
 
 def run_suite(name: str, bound: int | None = None, seed: int = 0,
               max_denominator: int | None = None) -> SuiteReport:
     """Dispatch a named suite with its contractual default bounds unless
     overridden."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    bound_key, denominator_key, seeded = _OPTIONS[name]
-    kwargs: dict = {"seed": seed} if seeded else {}
-    if bound is not None:
-        kwargs[bound_key] = bound
-    if denominator_key and max_denominator is not None:
-        kwargs[denominator_key] = max_denominator
+    kwargs = suite_options(name, bound, seed, max_denominator)
     return SUITES[name](**kwargs)
 
 
-__all__ = ["SuiteReport", "SUITES", "run_suite"] + [
+__all__ = ["SuiteReport", "SUITES", "suite_options", "run_suite"] + [
     f.__name__ for f in SUITES.values()
 ]

@@ -97,7 +97,7 @@ def test_criterion_04_fixed_sets(announce):
 
 
 def test_criterion_05_commensurability(announce):
-    rep = commensurability_suite(bound=10, power_bound=24)
+    rep = commensurability_suite(bound=10)
     announce(5, "commensurability classes", rep.ok,
              f"{rep.checks} checks; failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures

@@ -111,10 +111,13 @@ def test_homology_methods_agree_via_cli(capsys):
 
 
 def test_homology_cap_exits_1(capsys):
-    code, _, err = run_cli(["homology", "--circles", "9",
-                            "--method", "simplicial"], capsys)
-    assert code == 1
-    assert "capped" in err
+    # the Kunneth route builds a list of N moduli, so its time and memory
+    # grow linearly: 10^6 circles took 3.9 s and 98 MiB
+    for argv in (["--circles", "9", "--method", "simplicial"], ["--circles", "1000001"]):
+        code, out, err = run_cli(["homology", *argv], capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert "capped" in err
 
 
 def test_pushout_report_cap_exits_1(capsys):
@@ -123,6 +126,28 @@ def test_pushout_report_cap_exits_1(capsys):
     assert out == ""
     assert err.startswith("precondition violated:")
     assert "capped" in err
+
+
+@pytest.mark.parametrize("command", ["product", "join"])
+def test_space_circles_cap_exits_1(command, capsys):
+    # circles:30000 took 6 s; circles:100000000 raised MemoryError under a
+    # 2 GiB memory limit
+    for space in ("circles:10001", "circles:100000000"):
+        code, out, err = run_cli([command, space, "klein"], capsys)
+        assert code == 1, space
+        assert out == ""
+        assert err.startswith("precondition violated:")
+        assert "capped" in err
+
+
+def test_cli_runs_with_docstrings_stripped():
+    # importing kleingroup formatted a docstring, which -OO sets to None
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "kleingroup.cli", "homology", "--circles", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("H_0 = Z, H_1 = 0, H_2 = Z^2 + Z_2^2")
 
 
 def test_pushout_report_counts(capsys):
@@ -200,6 +225,38 @@ def test_verify_bound_reaches_suite_parameter(suite, key, capsys):
     assert params[key] == 2
     if "line_bound" in params:
         assert params["line_bound"] == 1
+
+
+@pytest.mark.parametrize("suite, option, cap", [
+    ("group-law", "--bound", 12),
+    ("representation", "--bound", 14),
+    ("isotropy", "--bound", 12),
+    ("isotropy", "--max-denominator", 6),
+    ("fixed-set", "--bound", 12),
+    ("fixed-set", "--max-denominator", 8),
+    ("commensurability", "--bound", 16),
+    ("kn-action", "--bound", 10),
+    ("equivariant-maps", "--bound", 20),
+    ("i-complex", "--bound", 16),
+])
+def test_verify_cap_exits_1(suite, option, cap, capsys):
+    # each suite runs in about 5 s or less at its caps; its time grows as a
+    # power of the bound, and group-law at --bound 3000 was still running
+    # after 10 s
+    code, out, err = run_cli(["verify", "--suite", suite, option, str(cap + 1)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("precondition violated:")
+    assert "capped" in err
+
+
+def test_verify_all_checks_every_cap_before_running(capsys):
+    # bound 13 is within the commensurability and equivariant-maps caps
+    # but over fixed-set's, so no suite may have printed a record
+    code, out, err = run_cli(["verify", "--bound", "13"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "fixed-set" in err
 
 
 @pytest.mark.parametrize("far", ["1e400", "1e-400"])

@@ -17,7 +17,6 @@ from kleingroup import (
     act_point,
     as_affine,
     inv,
-    is_axis,
     line_distance,
     mul,
     stabilizes,
@@ -128,11 +127,6 @@ def test_metric_invariant_under_action(g, l1, l2):
     assert before.parallel == after.parallel
     assert before.width_sq == after.width_sq
     assert before.value == after.value
-
-
-@given(lines)
-def test_every_line_is_an_axis(line):
-    assert is_axis(line)
 
 
 @pytest.mark.parametrize("far", [Fraction(10**400), Fraction(1, 10**400), Fraction(10**17)])

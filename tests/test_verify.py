@@ -1,9 +1,13 @@
 """The verification sweeps themselves (at reduced bounds, for speed)."""
 
+import inspect
+
 import pytest
 
 from kleingroup import SUITES, run_suite
+from kleingroup.cli import _json
 from kleingroup.verify import (
+    _OPTIONS,
     commensurability_suite,
     fixed_set_suite,
     group_law_suite,
@@ -38,9 +42,24 @@ def test_run_suite_dispatch():
         run_suite("nope")
 
 
+def test_default_bounds_sit_below_their_caps():
+    for name, fn in SUITES.items():
+        params = inspect.signature(fn).parameters
+        for key, cap in _OPTIONS[name].values():
+            assert params[key].default < cap, (name, key)
+
+
+def test_commensurability_oracle_reaches_far_common_powers():
+    # <(-13, 1)> and <(-12, 13)> first meet at (0, 26) = (-13, 1)^26, past
+    # the fixed exponent 24 the power-set oracle used to stop at
+    rep = commensurability_suite(bound=13)
+    assert rep.ok, rep.failures
+    assert rep.parameters == {"bound": 13}
+
+
 def test_report_shape():
     rep = representation_suite(bound=2)
-    j = rep.to_json()
+    j = _json(rep)
     assert j["ok"] is True
     assert j["suite"] == "representation"
     assert j["failures"] == []
