@@ -65,8 +65,17 @@ from .verify import SUITES, SuiteReport, run_suite, suite_options
 # --- argument kinds -----------------------------------------------------------
 
 
+# Fraction expands the decimal exponent of "1e9999999" into 10**exponent, so
+# a huge one hangs; cap it at the digit limit Python puts on int arguments
+EXPONENT_CAP = 4_300
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def _rational(text: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > EXPONENT_CAP:
+            raise ValueError(f"decimal exponent capped at {EXPONENT_CAP}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({e})")

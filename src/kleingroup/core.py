@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _sgn(m: int) -> int:
-    """(-1)**m without building a big power."""
-    return -1 if m % 2 else 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """A group element (n, m)."""
 
@@ -53,12 +48,13 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     >>> mul(GroupElement(1, 1), GroupElement(1, 1))
     GroupElement(n=0, m=2)
     """
-    return GroupElement(g.n + _sgn(g.m) * h.n, g.m + h.m)
+    # the parity of m picks the sign (-1)**m; m & 1 is 1 for odd negative m too
+    return GroupElement(g.n - h.n if g.m & 1 else g.n + h.n, g.m + h.m)
 
 
 def inv(g: GroupElement) -> GroupElement:
     """Inverse: (n, m)^-1 = ((-1)**(1-m) * n, -m)."""
-    return GroupElement(-_sgn(g.m) * g.n, -g.m)
+    return GroupElement(g.n if g.m & 1 else -g.n, -g.m)
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
@@ -83,14 +79,15 @@ def conj(t: GroupElement, g: GroupElement) -> GroupElement:
     """Conjugate t*g*t^-1 by closed form.
 
     The second coordinate of g survives; the first is reflected by t.m and
-    translated by t.n exactly when g.m is odd:
+    translated by 2*t.n exactly when g.m is odd:
 
         t g t^-1 = ((-1)**t.m * g.n + t.n - (-1)**g.m * t.n, g.m)
     """
-    return GroupElement(_sgn(t.m) * g.n + t.n - _sgn(g.m) * t.n, g.m)
+    n = -g.n if t.m & 1 else g.n
+    return GroupElement(n + 2 * t.n if g.m & 1 else n, g.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap:
     """An affine map of the plane (t, r) -> (shift_x + sign*t, shift_y + r).
 
@@ -131,7 +128,7 @@ def as_affine(g: GroupElement) -> AffineMap:
     sign -1 moves every point with t != g.n/2 horizontally and every
     point vertically unless shift_y = 0.
     """
-    return AffineMap(_sgn(g.m), g.n, g.m)
+    return AffineMap(-1 if g.m & 1 else 1, g.n, g.m)
 
 
 __all__ = [

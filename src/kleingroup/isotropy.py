@@ -91,7 +91,8 @@ def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     return FixedSetDescriptor("slope-family", slope=Fraction(m, n))
 
 
-def _fraction_grid(bound: int) -> list[Fraction]:
+def fraction_grid(bound: int) -> list[Fraction]:
+    """The rationals p/q with |p| <= bound and 1 <= q <= bound, sorted."""
     vals = {Fraction(p, q) for q in range(1, bound + 1) for p in range(-bound, bound + 1)}
     return sorted(vals)
 
@@ -99,7 +100,7 @@ def _fraction_grid(bound: int) -> list[Fraction]:
 def line_grid(bound: int) -> list[Line]:
     """All lines with slope and intercept of height <= bound, plus the
     vertical lines with those intercepts."""
-    fracs = _fraction_grid(bound)
+    fracs = fraction_grid(bound)
     lines = [Line(a, b) for a in fracs for b in fracs]
     lines += [_line(b.denominator, 0, b.numerator) for b in fracs]
     return lines
@@ -120,6 +121,7 @@ __all__ = [
     "FixedSetDescriptor",
     "isotropy_group",
     "fixed_set",
+    "fraction_grid",
     "line_grid",
     "canonical_subgroups",
 ]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import GroupElement, _sgn
-from .isotropy import _fraction_grid, isotropy_group
+from .core import GroupElement
+from .isotropy import fraction_grid, isotropy_group
 from .plane import Line, PlanePoint
 from .subgroups import (
     Commensurator,
@@ -33,7 +33,7 @@ def index_action(g: GroupElement, n: int) -> int:
     """The permutation action on the integer family indexing the odd
     maximal subgroups <(n, 1)>: g moves index n to (-1)**g.m * n + 2*g.n.
     The stabilizer of n is exactly <(n, 1)>."""
-    return _sgn(g.m) * n + 2 * g.n
+    return (-n if g.m & 1 else n) + 2 * g.n
 
 
 def index_stabilizer(n: int) -> CyclicSubgroup:
@@ -182,7 +182,7 @@ def join_report(slope_bound: int) -> ModelDescriptor:
     if slope_bound < 1:
         raise ValueError("slope_bound must be at least 1")
     pieces = []
-    for a in _fraction_grid(slope_bound):
+    for a in fraction_grid(slope_bound):
         pieces.append(
             ModelPiece(
                 label=f"slope({a})",

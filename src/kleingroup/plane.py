@@ -15,18 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .core import GroupElement, _sgn
+from .core import GroupElement
 
 VERTICAL = math.inf
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
+    if type(x) is Fraction:
+        return x
+    # bool is an int subclass but not a coordinate
+    if type(x) is not bool and isinstance(x, Rational):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanePoint:
     t: Fraction
     r: Fraction
@@ -36,7 +39,7 @@ class PlanePoint:
         object.__setattr__(self, "r", _as_fraction(self.r))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Line:
     """The line a*t + b*r = c, as a primitive integer triple.
 
@@ -95,13 +98,13 @@ def _line(a: int, b: int, c: int) -> Line:
 
 def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
     """g.(t, r) = (g.n + (-1)**g.m * t, g.m + r)."""
-    return PlanePoint(g.n + _sgn(g.m) * p.t, g.m + p.r)
+    return PlanePoint(g.n - p.t if g.m & 1 else g.n + p.t, g.m + p.r)
 
 
 def act_line(g: GroupElement, line: Line) -> Line:
     """The image of a line: a*t + b*r = c goes to
     s*a*t + b*r = c + s*a*g.n + b*g.m, where s = (-1)**g.m."""
-    sa = _sgn(g.m) * line.a
+    sa = -line.a if g.m & 1 else line.a
     return _line(sa, line.b, line.c + sa * g.n + line.b * g.m)
 
 
@@ -145,12 +148,14 @@ def stabilizes(g: GroupElement, line: Line) -> bool:
     """Whether g maps the line to itself, by the closed criterion.
 
     A glide (odd g.m) reverses the t-direction, so it can only keep a
-    vertical line; then a*g.n + b*g.m == (1 - (-1)**g.m) * c.  Always
-    agrees with act_line(g, line) == line.
+    vertical line, and keeps it when a*g.n == 2*c.  A translation (even
+    g.m) keeps the line when a*g.n + b*g.m == 0.  Always agrees with
+    act_line(g, line) == line.
     """
     a, b, c = line.a, line.b, line.c
-    s = _sgn(g.m)
-    return (b == 0 or s == 1) and a * g.n + b * g.m == (1 - s) * c
+    if g.m & 1:
+        return b == 0 and a * g.n == 2 * c
+    return a * g.n + b * g.m == 0
 
 
 __all__ = [

@@ -16,7 +16,7 @@ from math import gcd
 from .core import GroupElement, conj, inv, power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicSubgroup:
     """The infinite cyclic subgroup generated by ``gen``.
 

@@ -25,7 +25,7 @@ from .core import (
     mul,
     power,
 )
-from .isotropy import _fraction_grid, canonical_subgroups, fixed_set, isotropy_group, line_grid
+from .isotropy import canonical_subgroups, fixed_set, fraction_grid, isotropy_group, line_grid
 from .models import (
     flat_representatives,
     index_action,
@@ -76,11 +76,17 @@ def _elements(bound: int) -> list[GroupElement]:
 def group_law_suite(bound: int = 10, samples: int = 10000, seed: int = 0) -> SuiteReport:
     """Associativity (vectorized sweep over the whole box), inverses,
     powers against iteration, conjugation against its definition, plus
-    randomized triples with huge coordinates through the scalar code."""
+    randomized triples with huge coordinates through the scalar code.
+
+    The sweep's lanes are the narrowest integer type that holds -3*bound:
+    int8 at every allowed bound, and exact at any bound."""
     rep = SuiteReport("group-law", {"bound": bound, "samples": samples, "seed": seed})
     vals = [(n, m) for n in range(-bound, bound + 1) for m in range(-bound, bound + 1)]
-    n_all = np.array([v[0] for v in vals], dtype=np.int64)
-    m_all = np.array([v[1] for v in vals], dtype=np.int64)
+    # every lane below, (gh)k and g(hk) included, sums at most three
+    # coordinates of the box, so |lane| <= 3*bound and no lane overflows
+    lane = np.min_scalar_type(-3 * bound)
+    n_all = np.array([v[0] for v in vals], dtype=lane)
+    m_all = np.array([v[1] for v in vals], dtype=lane)
     nh, mh = n_all[:, None], m_all[:, None]
     nk, mk = n_all[None, :], m_all[None, :]
     s_h = 1 - 2 * (mh & 1)
@@ -318,7 +324,7 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
     representative subgroup."""
     rep = SuiteReport("equivariant-maps", {"bound": bound, "rep_bound": rep_bound})
     elements = _elements(bound)
-    grid = _fraction_grid(2)
+    grid = fraction_grid(2)
     pts = [PlanePoint(t, r) for t in grid for r in grid]
     for g in elements:
         for x in pts:

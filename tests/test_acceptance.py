@@ -35,6 +35,7 @@ from kleingroup.verify import (
     commensurability_suite,
     fixed_set_suite,
     group_law_suite,
+    i_complex_suite,
     isotropy_suite,
     kn_suite,
     maps_suite,
@@ -59,6 +60,7 @@ def test_criterion_01_group_law(announce):
     announce(1, "group law", ok, f"{rep.checks} checks in {dt:.1f}s; "
              f"failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures
+    assert rep.checks == 86_003_450
     assert dt < 10.0, f"budget 10s exceeded: {dt:.1f}s"
 
 
@@ -76,6 +78,7 @@ def test_criterion_02_representation(announce):
     announce(2, "affine representation", ok,
              f"{rep.checks} checks; failures: {rep.failures or 'none'}")
     assert ok, rep.failures
+    assert rep.checks == 195_804
 
 
 def test_criterion_03_isotropy(announce):
@@ -86,6 +89,7 @@ def test_criterion_03_isotropy(announce):
     announce(3, "isotropy oracle", ok,
              f"{rep.checks} checks in {dt:.1f}s; failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures
+    assert rep.checks == 901_680
     assert dt < 30.0, f"budget 30s exceeded: {dt:.1f}s"
 
 
@@ -94,6 +98,9 @@ def test_criterion_04_fixed_sets(announce):
     announce(4, "fixed sets", rep.ok,
              f"{rep.checks} checks; failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures
+    # the count includes the i-complex sweep at the same bound
+    assert rep.checks == 133_380
+    assert i_complex_suite(6).checks == 2_340
 
 
 def test_criterion_05_commensurability(announce):
@@ -101,6 +108,7 @@ def test_criterion_05_commensurability(announce):
     announce(5, "commensurability classes", rep.ok,
              f"{rep.checks} checks; failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures
+    assert rep.checks == 107_360
 
 
 def test_criterion_06_kunneth_product(announce):
@@ -184,6 +192,7 @@ def test_criterion_09_pushout_and_equivariance(announce):
              f"R counts {counts}; {m.checks + k.checks} map/action checks; "
              f"{failures or 'no failures'}")
     assert not failures, failures
+    assert (m.checks, k.checks) == (25_942, 1_424_787)
 
 
 def test_criterion_10_golden_files(announce, capfd):

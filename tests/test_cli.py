@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kleingroup.cli import main
+from kleingroup.cli import EXPONENT_CAP, main
 
 
 def run_cli(argv, capsys):
@@ -88,6 +88,21 @@ def test_parse_error_exits_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_huge_decimal_exponent_exits_2(capsys):
+    # Fraction expands 10**exponent: map-p 1e10000000 0 took 11 s, and
+    # 0 1e-5000 was computed only to fail while printing
+    for argv in (["map-p", "1e10000000", "0"], ["map-p", "1e100000000", "0"],
+                 ["map-p", "0", "1e-5000"], ["map-p", "0", f"1E+{EXPONENT_CAP + 1}"],
+                 ["map-p", "0", "1e4_301"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "not a rational" in capsys.readouterr().err
+    code, out, _ = run_cli(["map-p", "0", f"1e-{EXPONENT_CAP - 1}"], capsys)
+    assert code == 0
+    assert out.startswith("1/1000")
 
 
 def test_homology_command(capsys):

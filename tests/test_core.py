@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleingroup import (
@@ -14,6 +14,7 @@ from kleingroup import (
     IDENTITY,
     as_affine,
     conj,
+    index_action,
     inv,
     mul,
     power,
@@ -23,6 +24,8 @@ small = st.integers(min_value=-50, max_value=50)
 huge = st.integers(min_value=-(10**40), max_value=10**40)
 elem_small = st.builds(GroupElement, small, small)
 elem_huge = st.builds(GroupElement, huge, huge)
+coord30 = st.integers(min_value=-(10**30), max_value=10**30)
+elem30 = st.builds(GroupElement, coord30, coord30)
 
 
 def test_known_products():
@@ -132,6 +135,20 @@ def test_conj_matches_definition(t, g):
 @given(elem_huge, elem_huge, elem_huge)
 def test_conj_is_homomorphism(t, g, h):
     assert conj(t, mul(g, h)) == mul(conj(t, g), conj(t, h))
+
+
+@given(elem30, elem30, coord30)
+@example(GroupElement(7, -3), GroupElement(-5, 1 - 10**30), -(10**30))
+def test_parity_branches_match_power_closed_forms(g, h, n):
+    # the closed forms with the sign written as a power of -1
+    def sign(m):
+        return (-1) ** (m % 2)
+
+    assert mul(g, h) == GroupElement(g.n + sign(g.m) * h.n, g.m + h.m)
+    assert inv(g) == GroupElement((-1) ** ((1 - g.m) % 2) * g.n, -g.m)
+    assert conj(g, h) == GroupElement(sign(g.m) * h.n + g.n - sign(h.m) * g.n, h.m)
+    assert as_affine(g) == AffineMap(sign(g.m), g.n, g.m)
+    assert index_action(g, n) == sign(g.m) * n + 2 * g.n
 
 
 def test_subgroup_of_translations_is_abelian():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kleingroup import (
@@ -17,8 +17,10 @@ from kleingroup import (
     act_point,
     as_affine,
     inv,
+    isotropy_group,
     line_distance,
     mul,
+    power,
     stabilizes,
 )
 
@@ -28,6 +30,13 @@ points = st.builds(PlanePoint, rationals, rationals)
 lines = st.one_of(
     st.builds(Line, rationals, rationals),
     st.builds(lambda b: Line(VERTICAL, b), rationals),
+)
+coord30 = st.integers(-(10**30), 10**30)
+elems30 = st.builds(GroupElement, coord30, coord30)
+rationals30 = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**6)
+lines30 = st.one_of(
+    st.builds(Line, rationals30, rationals30),
+    st.builds(lambda b: Line(VERTICAL, b), rationals30),
 )
 
 
@@ -43,6 +52,22 @@ def test_point_action_examples():
 def test_point_action_requires_exact_coordinates():
     with pytest.raises(TypeError):
         PlanePoint(0.5, Fraction(0))
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_plane_coordinates_reject_bool(bad):
+    for build in (lambda: PlanePoint(bad, 0), lambda: PlanePoint(0, bad),
+                  lambda: Line(bad, 0), lambda: Line(0, bad),
+                  lambda: Line(VERTICAL, bad)):
+        with pytest.raises(TypeError):
+            build()
+
+
+@given(elems30, rationals30, rationals30)
+@example(GroupElement(3, 1 - 10**30), Fraction(1, 3), Fraction(-5))
+def test_point_action_matches_power_closed_form(g, t, r):
+    sign = (-1) ** (g.m % 2)
+    assert act_point(g, PlanePoint(t, r)) == PlanePoint(g.n + sign * t, g.m + r)
 
 
 @given(elems, elems, points)
@@ -96,6 +121,23 @@ def test_line_action_is_pointwise(g, line, p):
 @given(elems, lines)
 def test_stabilizes_matches_action(g, line):
     assert stabilizes(g, line) == (act_line(g, line) == line)
+
+
+@given(elems30, lines30, rationals30, st.integers(-3, 3))
+@example(GroupElement(1, -3), Line(VERTICAL, Fraction(5, 2)), Fraction(7), -1)
+def test_line_action_carries_points_and_stabilizers_at_scale(g, line, x, k):
+    # a point of the line at t = x, or at r = x if the line is vertical
+    if line.vertical:
+        p = PlanePoint(line.intercept, x)
+    else:
+        p = PlanePoint(x, line.slope * x + line.intercept)
+    assert line.contains(p)
+    # a random element rarely keeps the line; powers of its isotropy
+    # generator always do, and glide powers reach the vertical lines
+    for h in (g, power(isotropy_group(line).gen, k)):
+        image = act_line(h, line)
+        assert image.contains(act_point(h, p))
+        assert stabilizes(h, line) == (image == line)
 
 
 def test_metric_examples():
