@@ -229,23 +229,36 @@ def _text(v) -> str:
 
 # --- the command table ----------------------------------------------------------
 
-_COMMANDS: dict[str, tuple] = {}
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("--json", action="store_true", help="emit canonical JSON")
+_COMMON.add_argument("--out", metavar="FILE", default=None,
+                     help="also write the output to FILE")
+
+_PARSER = argparse.ArgumentParser(
+    prog="kleingroup",
+    description="Exact computations in and around the Klein bottle group.",
+)
+_SUBCOMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 
 
-def _command(name: str, help_text: str, params: str = ""):
-    """Register a handler as the subcommand ``name``.
+def _command(name: str, help_text: str, params: str = "", options=()):
+    """Register a handler as the subcommand ``name`` of the parser.
 
     ``params`` names its positional arguments in order, each as ``name``
-    (an integer) or ``name:kind`` with a kind of ``_KINDS``.  The handler
-    takes the parsed arguments and yields (inputs, result, provenance)
-    records of library values, which ``_json`` and ``_text`` encode.
+    (an integer) or ``name:kind`` with a kind of ``_KINDS``; ``options``
+    lists its own options as (flag, ``add_argument`` keywords) pairs.  The
+    handler takes the parsed arguments and yields (inputs, result,
+    provenance) records of library values, which ``_json`` and ``_text``
+    encode.
     """
     def register(handler):
-        positionals = []
+        p = _SUBCOMMANDS.add_parser(name, parents=[_COMMON], help=help_text)
+        p.set_defaults(handler=handler)
         for param in params.split():
             dest, _, kind = param.partition(":")
-            positionals.append((dest, _KINDS[kind or "int"]))
-        _COMMANDS[name] = (help_text, positionals, handler)
+            p.add_argument(dest, type=_KINDS[kind or "int"])
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         return handler
     return register
 
@@ -429,12 +442,16 @@ def _h_shift_act(a):
            "shift action on the horizontal piece")
 
 
-@_command("pushout-report", "assemble the pushout model")
+@_command("pushout-report", "assemble the pushout model",
+          options=[("--bound", {"type": int, "default": 2})])
 def _h_pushout_report(a):
     yield {"bound": a.bound}, pushout_report(a.bound), "class census for the pushout model"
 
 
-@_command("homology", "homology of the truncated join model")
+@_command("homology", "homology of the truncated join model", options=[
+    ("--circles", {"type": int, "default": 1}),
+    ("--method", {"choices": ("kunneth", "simplicial"), "default": "kunneth"}),
+])
 def _h_homology(a):
     yield ({"circles": a.circles, "method": a.method},
            model_homology(a.circles, method=a.method),
@@ -457,7 +474,12 @@ def _h_join(a):
            "join assembled from reduced factor homologies")
 
 
-@_command("verify", "run a verification sweep")
+@_command("verify", "run a verification sweep", options=[
+    ("--suite", {"choices": sorted(SUITES) + ["all"], "default": "all"}),
+    ("--bound", {"type": int}),
+    ("--seed", {"type": int, "default": 0, "help": "seed for randomized sweeps"}),
+    ("--max-denominator", {"type": int, "help": "denominator bound for sampling grids"}),
+])
 def _h_verify(a):
     """One record per suite; --suite all runs every suite in name order,
     once every suite has accepted the options."""
@@ -470,36 +492,6 @@ def _h_verify(a):
         yield {"suite": name, "bound": a.bound}, report, "verification sweep"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit canonical JSON")
-    common.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the output to FILE")
-
-    parser = argparse.ArgumentParser(
-        prog="kleingroup",
-        description="Exact computations in and around the Klein bottle group.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    cmd = {}
-    for name, (help_text, params, handler) in _COMMANDS.items():
-        p = cmd[name] = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
-        for dest, kind in params:
-            p.add_argument(dest, type=kind)
-
-    cmd["pushout-report"].add_argument("--bound", type=int, default=2)
-    cmd["homology"].add_argument("--circles", type=int, default=1)
-    cmd["homology"].add_argument("--method", choices=("kunneth", "simplicial"),
-                                 default="kunneth")
-    cmd["verify"].add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    cmd["verify"].add_argument("--bound", type=int, default=None)
-    cmd["verify"].add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    cmd["verify"].add_argument("--max-denominator", type=int, default=None,
-                               help="denominator bound for sampling grids")
-    return parser
-
-
 def _preprocess(argv: list[str]) -> list[str]:
     # argparse only special-cases plain negative integers; pad negative
     # rationals with a space so they stay positional
@@ -508,7 +500,7 @@ def _preprocess(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_preprocess(argv))
+    args = _PARSER.parse_args(_preprocess(argv))
     ok = True
     try:
         for inputs, result, provenance in args.handler(args):
@@ -522,12 +514,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _emit(args, inputs, result, provenance) -> None:
-    if args.json:
-        record = {"command": args.command, "inputs": inputs, "result": result,
-                  "provenance": provenance}
-        out = json.dumps(_json(record), sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        out = f"{_text(result)}  [{provenance}]\n"
+    # a result may run past the digit limit Python puts on int-to-str
+    # conversion; only the inputs are held to it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            record = {"command": args.command, "inputs": inputs, "result": result,
+                      "provenance": provenance}
+            out = json.dumps(_json(record), sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            out = f"{_text(result)}  [{provenance}]\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:

@@ -84,6 +84,8 @@ def test_parse_error_exits_2():
                  # only verify takes --seed and --max-denominator
                  ["mul", "1", "1", "1", "1", "--max-denominator", "3"],
                  ["homology", "--seed", "9"],
+                 # integer arguments keep Python's 4,300-digit limit
+                 ["mul", "9" * (EXPONENT_CAP + 1), "0", "0", "0"],
                  []):                           # no command
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -103,6 +105,24 @@ def test_huge_decimal_exponent_exits_2(capsys):
     code, out, _ = run_cli(["map-p", "0", f"1e-{EXPONENT_CAP - 1}"], capsys)
     assert code == 0
     assert out.startswith("1/1000")
+
+
+def test_results_print_past_the_digit_limit(capsys):
+    # results of more than 4,300 digits exited 1 with Python's digit-limit
+    # message; the limit is lifted while the record is encoded, then restored
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * EXPONENT_CAP  # the largest integer argument Python parses
+    twice = "1" + "9" * (EXPONENT_CAP - 1) + "8"  # 2 * (10**4300 - 1)
+    code, out, err = run_cli(["mul", nines, "0", nines, "0"], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"({twice}, 0)  [twisted product law]\n"
+    code, out, _ = run_cli(["mul", nines, "0", nines, "0", "--json"], capsys)
+    assert code == 0
+    assert f'"result":{{"element":{{"m":0,"n":{twice}}}}}' in out
+    code, out, err = run_cli(["map-p", "0", f"1e-{EXPONENT_CAP}"], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"1/1{'0' * EXPONENT_CAP}  [projection to the vertical axis]\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_homology_command(capsys):
@@ -204,9 +224,32 @@ def test_verify_all_passes_at_bound_1(capsys):
 
 
 def test_verify_zero_checks_fails(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "isotropy", "--bound", "-3"], capsys)
+    code, out, _ = run_cli(["verify", "--suite", "isotropy", "--max-denominator", "0"], capsys)
     assert code == 1
     assert out.startswith("isotropy: FAILED (0 checks)")
+
+
+def test_verify_fixed_set_empty_own_sweep_fails(capsys):
+    # the nested i-complex run made 2,340 checks, so an empty line grid
+    # printed "fixed-set: ok (2340 checks)" and exited 0
+    code, out, _ = run_cli(["verify", "--suite", "fixed-set", "--max-denominator", "0"], capsys)
+    assert code == 1
+    assert out == "fixed-set: FAILED (0 checks)  [verification sweep]\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--suite", "group-law", "--bound", "-1"], "group-law: bound"),
+    (["--bound", "-1"], "commensurability: bound"),
+    (["--suite", "isotropy", "--bound", "-3"], "isotropy: element_bound"),
+    (["--suite", "fixed-set", "--max-denominator", "-1"], "fixed-set: line_bound"),
+])
+def test_verify_negative_bound_exits_1(argv, named, capsys):
+    # group-law at --bound -1 drew from an empty box and raised IndexError;
+    # verify --bound -1 printed three FAILED records before it
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"precondition violated: {named} must be nonnegative\n"
 
 
 def test_verify_failed_single_suite_exits_1(monkeypatch, capsys):

@@ -1,0 +1,67 @@
+"""Fuzz of the command line: every subcommand but verify, over huge,
+negative, malformed and small arguments.  Each call exits 0, 1 or 2
+without a traceback, prints nothing on stdout unless it succeeded, and
+returns quickly."""
+
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kleingroup.cli import _KINDS, _SUBCOMMANDS, EXPONENT_CAP, main
+
+NINES = "9" * EXPONENT_CAP
+INTS = ["0", "1", "-1", "2", "3", "-4", "7", NINES, "-" + NINES]  # ±(10^4300 - 1)
+RATIONALS = INTS + [f"1e{EXPONENT_CAP}", f"1e-{EXPONENT_CAP}", "-3/4", "-7/2", "-1/9"]
+TOKENS = {  # well-formed tokens of each argument kind
+    "int": INTS,
+    "rational": RATIONALS,
+    "slope": RATIONALS + ["inf"],
+    "space": ["circles:1", "circles:3", "point", "circle", "klein"],
+}
+MALFORMED = ["", "x", "1..2", "1/0", "2/-3", "0x10", "--", "circles:0", f"-1e{EXPONENT_CAP}"]
+POOL = sorted(set(MALFORMED).union(*TOKENS.values()))
+KIND_OF = {kind: name for name, kind in _KINDS.items()}
+COMMANDS = sorted(set(_SUBCOMMANDS.choices) - {"verify"})
+CALL_LIMIT_S = 2.0
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with a token for each positional and for some of its
+    own options: in half the calls a well-formed token of the argument's
+    kind (or one of its choices), in the other half any pool token."""
+    name = draw(st.sampled_from(COMMANDS))
+    typed = draw(st.booleans())
+    argv = [name]
+    for action in _SUBCOMMANDS.choices[name]._actions:
+        if action.dest in ("help", "json", "out"):
+            continue
+        if action.option_strings and not draw(st.booleans()):
+            continue
+        tokens = list(action.choices or TOKENS[KIND_OF[action.type]]) if typed else POOL
+        argv += action.option_strings[:1] + [draw(st.sampled_from(tokens))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_cli_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+    assert elapsed < CALL_LIMIT_S
