@@ -22,9 +22,8 @@ from .subgroups import (
     CommClass,
     CyclicSubgroup,
     SubgroupFamily,
-    TRANSLATIONS,
-    WHOLE_GROUP,
     class_family,
+    commensurator,
     subgroup,
 )
 
@@ -124,55 +123,44 @@ class ModelDescriptor:
 # The largest orbit bound pushout_report accepts: 10,045 pieces.
 PUSHOUT_CAP = 128
 
+# Per class tag: the piece's label (formatted with its class c), its
+# space, and the identification that glues it to the plane.
+_PIECE_TEXT = {
+    "H": ("horizontal", "real line with the shift action x -> g.m + x",
+          "plane point x ~ axis_projection(x) in the horizontal piece"),
+    "K": ("odd-vertical", "join of the integer family with the plane",
+          "plane point x ~ x inside the plane factor of the odd-vertical piece"),
+    "R": ("flat({c.rep.gen.n},{c.rep.gen.m})",
+          "real line, the plane modulo the representative direction",
+          "plane point x ~ [identity, line_quotient(rep, x)] in each flat piece"),
+}
+
 
 def pushout_report(orbit_bound: int) -> ModelDescriptor:
     """The pushout model, truncated to the flat classes of bounded
     reduced generators.
 
-    Always exactly one horizontal piece and one odd/vertical piece; the
-    flat pieces enumerate :func:`flat_representatives`, about
-    0.6 * orbit_bound**2 of them, so orbit_bound is capped at PUSHOUT_CAP.
+    One piece per class, glued along its commensurator and family:
+    the horizontal class, the odd/vertical class, then one flat class
+    per :func:`flat_representatives`, about 0.6 * orbit_bound**2 of
+    them, so orbit_bound is capped at PUSHOUT_CAP.
     """
     if orbit_bound < 0:
         raise ValueError("orbit_bound must be nonnegative")
     if orbit_bound > PUSHOUT_CAP:
         raise ValueError(f"orbit_bound capped at {PUSHOUT_CAP}")
-    pieces = [
-        ModelPiece(
-            label="horizontal",
-            space="real line with the shift action x -> g.m + x",
-            cls=CommClass("H"),
-            commensurator=WHOLE_GROUP,
-            family=class_family(CommClass("H")),
-        ),
-        ModelPiece(
-            label="odd-vertical",
-            space="join of the integer family with the plane",
-            cls=CommClass("K"),
-            commensurator=WHOLE_GROUP,
-            family=class_family(CommClass("K")),
-        ),
-    ]
-    for rep in flat_representatives(orbit_bound):
-        cls = CommClass("R", rep)
-        pieces.append(
-            ModelPiece(
-                label=f"flat({rep.gen.n},{rep.gen.m})",
-                space="real line, the plane modulo the representative direction",
-                cls=cls,
-                commensurator=TRANSLATIONS,
-                family=class_family(cls),
-            )
-        )
+    classes = [CommClass("H"), CommClass("K")]
+    classes += [CommClass("R", rep) for rep in flat_representatives(orbit_bound)]
+    pieces = []
+    for c in classes:
+        label, space, _ = _PIECE_TEXT[c.tag]
+        pieces.append(ModelPiece(label.format(c=c), space, c,
+                                 commensurator(c), class_family(c)))
     return ModelDescriptor(
         kind="pushout",
         base="plane",
         pieces=tuple(pieces),
-        identifications=(
-            "plane point x ~ axis_projection(x) in the horizontal piece",
-            "plane point x ~ x inside the plane factor of the odd-vertical piece",
-            "plane point x ~ [identity, line_quotient(rep, x)] in each flat piece",
-        ),
+        identifications=tuple(glue for _, _, glue in _PIECE_TEXT.values()),
     )
 
 

@@ -48,7 +48,8 @@ class IntMatrix:
 
     @property
     def data(self) -> list[list[int]]:
-        """A fresh dense copy of the entries: a read-only view."""
+        """A fresh dense copy of the entries: a read-only view, whose only
+        reader is the benchmark's observers."""
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, r in self.rows.items():
             for j, v in r.items():
@@ -64,7 +65,7 @@ class IntMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.data!r})"
+        return f"IntMatrix(nrows={self.nrows}, ncols={self.ncols}, rows={self.rows!r})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:

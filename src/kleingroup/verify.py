@@ -234,10 +234,6 @@ def fixed_set_suite(gen_bound: int = 6, line_bound: int = 5) -> SuiteReport:
     return rep
 
 
-def _mirror_powerset(pset: frozenset) -> frozenset:
-    return frozenset((-n, m) for n, m in pset)
-
-
 def commensurability_suite(bound: int = 10) -> SuiteReport:
     """Closed-form commensurability against the power-intersection
     oracle; class equality matches commensurability up to the flip;
@@ -251,6 +247,7 @@ def commensurability_suite(bound: int = 10) -> SuiteReport:
     subs = canonical_subgroups(bound)
     exponent = max(2 * bound, 6)
     psets = [frozenset((g.n, g.m) for g in powers(s, exponent)) for s in subs]
+    mirrors = [frozenset((-n, m) for n, m in p) for p in psets]
     classes = [comm_class(s) for s in subs]
     for i, s in enumerate(subs):
         for j in range(i, len(subs)):
@@ -259,7 +256,7 @@ def commensurability_suite(bound: int = 10) -> SuiteReport:
             rep.checks += 2
             if commensurable(s, t) != oracle:
                 rep.fail(f"commensurable({s.gen}, {t.gen}) != oracle {oracle}")
-            flip = oracle or not psets[i].isdisjoint(_mirror_powerset(psets[j]))
+            flip = oracle or not psets[i].isdisjoint(mirrors[j])
             if (classes[i] == classes[j]) != flip:
                 rep.fail(f"class equality wrong at {s.gen}, {t.gen}")
 

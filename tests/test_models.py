@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from kleingroup import (
+    CommClass,
     GroupElement,
     IDENTITY,
     PUSHOUT_CAP,
     PlanePoint,
     act_point,
     axis_projection,
+    class_family,
+    commensurator,
     conj_subgroup,
     contains,
     flat_representatives,
@@ -163,6 +166,16 @@ def test_pushout_report_census():
     assert kinds["odd-vertical"] == "whole-group"
     assert kinds["flat(1,2)"] == "translation-subgroup"
     assert len(d.identifications) == 3
+    # every piece is glued along its class's commensurator and family,
+    # in the order H, K, then the flat representatives
+    for bound in [*range(9), PUSHOUT_CAP]:
+        pieces = pushout_report(bound).pieces
+        assert [p.cls for p in pieces] == [CommClass("H"), CommClass("K")] + [
+            CommClass("R", rep) for rep in flat_representatives(bound)
+        ]
+        for p in pieces:
+            assert p.commensurator == commensurator(p.cls)
+            assert p.family == class_family(p.cls)
 
 
 def test_pushout_report_families_are_disjoint():

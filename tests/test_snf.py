@@ -20,10 +20,10 @@ def minor_gcds(m: IntMatrix):
 
     def det(rows, cols):
         if len(rows) == 1:
-            return m.data[rows[0]][cols[0]]
+            return m.rows.get(rows[0], {}).get(cols[0], 0)
         total = 0
         for idx, r in enumerate(rows):
-            a = m.data[r][cols[0]]
+            a = m.rows.get(r, {}).get(cols[0], 0)
             if a:
                 total += (-1) ** idx * a * det(rows[:idx] + rows[idx + 1:], cols[1:])
         return total
@@ -128,7 +128,7 @@ def test_matches_sympy_smith_normal_form():
     @settings(max_examples=300, deadline=None)
     @given(matrices())
     def check(m):
-        flat = [v for row in m.data for v in row]
+        flat = [m.rows.get(i, {}).get(j, 0) for i in range(m.nrows) for j in range(m.ncols)]
         d = normalforms.smith_normal_form(sympy.Matrix(m.nrows, m.ncols, flat), domain=sympy.ZZ)
         diagonal = [abs(d[k, k]) for k in range(min(m.nrows, m.ncols)) if d[k, k]]
         assert smith_normal_form(m) == (diagonal, len(diagonal))
@@ -186,3 +186,10 @@ def test_matmul():
     assert IntMatrix.zeros(2, 3).is_zero()
     with pytest.raises(ValueError):
         a @ IntMatrix.zeros(3, 3)
+
+
+def test_repr_is_sparse():
+    assert repr(IntMatrix([[0, 2, 0], [0, 0, 0]])) == \
+        "IntMatrix(nrows=2, ncols=3, rows={0: {1: 2}})"
+    assert repr(IntMatrix.zeros(10**6, 10**6)) == \
+        "IntMatrix(nrows=1000000, ncols=1000000, rows={})"
