@@ -128,7 +128,7 @@ def _fmt_q(x) -> str:
 
 
 def _class_counts(d: ModelDescriptor) -> Counter:
-    return Counter(p.cls.tag for p in d.pieces if p.cls is not None)
+    return Counter(p.cls.tag for p in d.pieces)
 
 
 def _present(fields: dict) -> dict:
@@ -172,11 +172,8 @@ def _json(v):
             groups = {str(n): _json(v[n]) for n in range(max(v.top_degree, 0) + 1)}
             return {"homology": {"reduced": v.reduced, "groups": groups}, "text": v.text()}
         case ModelPiece():
-            return _present({
-                "label": v.label, "space": v.space, "class": v.cls,
-                "commensurator": v.commensurator and v.commensurator.kind,
-                "family": v.family, "isotropy": v.isotropy,
-            })
+            return {"label": v.label, "space": v.space, "class": _json(v.cls),
+                    "commensurator": v.commensurator.kind, "family": _json(v.family)}
         case ModelDescriptor():
             return {"kind": v.kind, "base": v.base, "pieces": _json(v.pieces),
                     "identifications": _json(v.identifications),
@@ -448,7 +445,7 @@ def _h_pushout_report(a):
     yield {"bound": a.bound}, pushout_report(a.bound), "class census for the pushout model"
 
 
-@_command("homology", "homology of the truncated join model", options=[
+@_command("homology", "homology of the join of circles with the Klein bottle", options=[
     ("--circles", {"type": int, "default": 1}),
     ("--method", {"choices": ("kunneth", "simplicial"), "default": "kunneth"}),
 ])
@@ -492,10 +489,15 @@ def _h_verify(a):
         yield {"suite": name, "bound": a.bound}, report, "verification sweep"
 
 
+_NEGATIVE = re.compile(r"-\.?\d[\d_./eE+-]*")
+
+
 def _preprocess(argv: list[str]) -> list[str]:
-    # argparse only special-cases plain negative integers; pad negative
-    # rationals with a space so they stay positional
-    return [" " + a if re.fullmatch(r"-\d+/\d+", a) else a for a in argv]
+    # argparse takes only "-7" and "-.5" for negative numbers and reads any
+    # other token that starts with "-" as an option; pad every token spelled
+    # like a negative number ("-3/4", "-1e3", "-.5e1", "-1_000") with a space
+    # so it stays positional, and let its type reject it if malformed
+    return [" " + a if _NEGATIVE.fullmatch(a) else a for a in argv]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -527,10 +529,14 @@ def _emit(args, inputs, result, provenance) -> None:
             out = f"{_text(result)}  [{provenance}]\n"
     finally:
         sys.set_int_max_str_digits(limit)
-    sys.stdout.write(out)
+    # the file first, so a record that cannot be written is not printed
     if args.out:
-        with open(args.out, "a", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "a", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as e:
+            raise ValueError(f"cannot write --out file {args.out!r} ({e.strerror})") from None
+    sys.stdout.write(out)
 
 
 if __name__ == "__main__":

@@ -112,8 +112,9 @@ KUNNETH_CAP = 1_000_000
 
 
 def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
-    """Unreduced homology of the truncated second model: the join of
-    ``circles`` disjoint circles with the Klein bottle.
+    """Unreduced homology of the join of ``circles`` disjoint circles
+    with the Klein bottle.  That is a join of quotients, not the
+    quotient of the truncated join model.
 
     method "kunneth" assembles it from the factor homologies: the
     circles' in closed form (reduced Z^(N-1) in degree 0 and Z^N in

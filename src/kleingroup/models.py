@@ -1,11 +1,10 @@
-"""Symbolic assembly of the two classifying-space models.
+"""Symbolic assembly of the pushout classifying-space model.
 
-The join model stacks the plane against one real line of lines per
-slope.  The pushout model glues, over the plane, one piece per
-commensurability class: a line for the horizontal class, a join with an
-integer family for the odd/vertical class, and one quotient line per
-flat class.  The maps that do the gluing are exact and are exposed here
-so their equivariance can be checked by sweep.
+The pushout model glues, over the plane, one piece per commensurability
+class: a line for the horizontal class, a join with an integer family
+for the odd/vertical class, and one quotient line per flat class.  The
+piece actions and the maps that do the gluing are exact and are exposed
+here so their equivariance can be checked by sweep.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import GroupElement
-from .isotropy import fraction_grid, isotropy_group
-from .plane import Line, PlanePoint
+from .plane import PlanePoint
 from .subgroups import (
     Commensurator,
     CommClass,
@@ -24,19 +22,15 @@ from .subgroups import (
     SubgroupFamily,
     class_family,
     commensurator,
-    subgroup,
 )
 
 
 def index_action(g: GroupElement, n: int) -> int:
     """The permutation action on the integer family indexing the odd
     maximal subgroups <(n, 1)>: g moves index n to (-1)**g.m * n + 2*g.n.
-    The stabilizer of n is exactly <(n, 1)>."""
+    Index n is the vertical line t = n/2, so its stabilizer is that
+    line's isotropy group <(n, 1)>."""
     return (-n if g.m & 1 else n) + 2 * g.n
-
-
-def index_stabilizer(n: int) -> CyclicSubgroup:
-    return subgroup(n, 1)
 
 
 def axis_projection(p: PlanePoint) -> Fraction:
@@ -102,22 +96,20 @@ def flat_representatives(bound: int) -> list[CyclicSubgroup]:
 class ModelPiece:
     label: str
     space: str
-    cls: CommClass | None = None
-    commensurator: Commensurator | None = None
-    family: SubgroupFamily | None = None
-    isotropy: CyclicSubgroup | None = None
+    cls: CommClass
+    commensurator: Commensurator
+    family: SubgroupFamily
 
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    kind: str  # "pushout" or "join"
-    base: str
-    pieces: tuple[ModelPiece, ...]
-    identifications: tuple[str, ...] = ()
+    """The pushout model over the plane: its pieces and the
+    identifications that glue them on."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("pushout", "join"):
-            raise ValueError("unknown model kind")
+    pieces: tuple[ModelPiece, ...]
+    identifications: tuple[str, ...]
+    kind = "pushout"
+    base = "plane"
 
 
 # The largest orbit bound pushout_report accepts: 10,045 pieces.
@@ -157,38 +149,8 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
         pieces.append(ModelPiece(label.format(c=c), space, c,
                                  commensurator(c), class_family(c)))
     return ModelDescriptor(
-        kind="pushout",
-        base="plane",
         pieces=tuple(pieces),
         identifications=tuple(glue for _, _, glue in _PIECE_TEXT.values()),
-    )
-
-
-def join_report(slope_bound: int) -> ModelDescriptor:
-    """The join model, truncated to slopes of height <= slope_bound:
-    the plane joined with one line-of-lines per slope."""
-    if slope_bound < 1:
-        raise ValueError("slope_bound must be at least 1")
-    pieces = []
-    for a in fraction_grid(slope_bound):
-        pieces.append(
-            ModelPiece(
-                label=f"slope({a})",
-                space="all lines of this slope, parametrized by intercept",
-                isotropy=isotropy_group(Line(a, Fraction(0))),
-            )
-        )
-    pieces.append(
-        ModelPiece(
-            label="slope(inf)",
-            space="all vertical lines; isotropy depends on the intercept",
-        )
-    )
-    return ModelDescriptor(
-        kind="join",
-        base="plane",
-        pieces=tuple(pieces),
-        identifications=("the model is the join of the base with every piece",),
     )
 
 
@@ -196,7 +158,6 @@ __all__ = [
     "ModelPiece",
     "ModelDescriptor",
     "index_action",
-    "index_stabilizer",
     "axis_projection",
     "shift_action",
     "line_quotient",
@@ -204,5 +165,4 @@ __all__ = [
     "flat_representatives",
     "pushout_report",
     "PUSHOUT_CAP",
-    "join_report",
 ]

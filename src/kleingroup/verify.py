@@ -29,13 +29,12 @@ from .isotropy import canonical_subgroups, fixed_set, fraction_grid, isotropy_gr
 from .models import (
     flat_representatives,
     index_action,
-    index_stabilizer,
     axis_projection,
     line_quotient,
     quotient_shift,
     shift_action,
 )
-from .plane import PlanePoint, act_line, act_point, stabilizes
+from .plane import VERTICAL, Line, PlanePoint, act_line, act_point, stabilizes
 from .subgroups import (
     CyclicSubgroup,
     canonicalize,
@@ -291,8 +290,9 @@ def commensurability_suite(bound: int = 10) -> SuiteReport:
 
 
 def kn_suite(bound: int = 8) -> SuiteReport:
-    """The index action is an action and its stabilizers are exactly the
-    odd maximal subgroups."""
+    """The index action is an action, and the stabilizer of index n is
+    the isotropy group of the vertical line t = n/2, the odd maximal
+    subgroup <(n, 1)>, which isotropy_group computes by its own route."""
     rep = SuiteReport("kn-action", {"bound": bound})
     elements = _elements(bound)
     indices = range(-bound, bound + 1)
@@ -307,11 +307,10 @@ def kn_suite(bound: int = 8) -> SuiteReport:
                 if index_action(g, index_action(h, n)) != index_action(gh, n):
                     rep.fail(f"not an action at g={g}, h={h}, n={n}")
             rep.checks += len(range(-bound, bound + 1))
-    for g in elements:
-        for n in indices:
-            fixes = index_action(g, n) == n
-            member = contains(index_stabilizer(n), g)
-            if fixes != member:
+    for n in indices:
+        stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
+        for g in elements:
+            if (index_action(g, n) == n) != contains(stab, g):
                 rep.fail(f"stabilizer wrong at g={g}, n={n}")
             rep.checks += 1
     return rep

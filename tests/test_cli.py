@@ -1,6 +1,7 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -48,12 +49,28 @@ def test_negative_rational_arguments(capsys):
     code, out, _ = run_cli(["isotropy", "-2/3", "0", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == {"generator": {"n": -3, "m": 2}}
+    # decimal forms argparse would read as options
+    for token, value in [("-1e3", "-1000"), ("-.5e1", "-5")]:
+        code, out, _ = run_cli(["map-p", token, "0", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["inputs"]["point"]["t"] == value
 
 
 def test_negative_integer_arguments(capsys):
     code, out, _ = run_cli(["pow", "5", "1", "-3"], capsys)
     assert code == 0
     assert out.startswith("(5, -3)")
+    code, out, _ = run_cli(["pow", "1", "1", "-1_000"], capsys)
+    assert code == 0
+    assert out.startswith("(0, -1000)")
+
+
+def test_negative_numbers_leave_options_alone(capsys):
+    # --json is read as the option in the tests above
+    with pytest.raises(SystemExit) as exc:
+        main(["map-p", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kleingroup map-p")
 
 
 def test_vertical_slope_token(capsys):
@@ -334,6 +351,22 @@ def test_out_file(tmp_path, capsys):
         ["inv", "3", "1", "--json", "--out", str(target)], capsys)
     assert code == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("where", [
+    "missing/log.json",  # a missing directory
+    ".",  # a directory in place of the file
+    pytest.param("/dev/full", marks=pytest.mark.skipif(  # a failing write
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+])
+def test_unwritable_out_file_exits_1(where, tmp_path, capsys):
+    target = tmp_path / where  # an absolute where replaces tmp_path
+    code, out, err = run_cli(["mul", "1", "1", "1", "1", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("precondition violated: ")
+    assert str(target) in err
+    assert "Traceback" not in err
 
 
 def test_console_script_entry_point():

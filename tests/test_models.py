@@ -3,13 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleingroup import (
     CommClass,
     GroupElement,
     IDENTITY,
+    Line,
     PUSHOUT_CAP,
     PlanePoint,
+    VERTICAL,
+    act_line,
     act_point,
     axis_projection,
     class_family,
@@ -18,9 +23,8 @@ from kleingroup import (
     contains,
     flat_representatives,
     index_action,
-    index_stabilizer,
     inv,
-    join_report,
+    isotropy_group,
     line_quotient,
     mul,
     pushout_report,
@@ -56,8 +60,9 @@ def test_index_action_is_by_bijections():
 
 
 def test_index_stabilizer():
+    # index n is the vertical line t = n/2, whose isotropy is <(n, 1)>
     for n in range(-6, 7):
-        stab = index_stabilizer(n)
+        stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
         assert stab == subgroup(n, 1)
         for g in ELEMS:
             assert (index_action(g, n) == n) == contains(stab, g), (g, n)
@@ -187,37 +192,48 @@ def test_pushout_report_families_are_disjoint():
             assert not family_contains(a.family, b.cls.rep)
 
 
-def test_join_report_pieces():
-    d = join_report(1)
-    assert d.kind == "join"
-    labels = [p.label for p in d.pieces]
-    assert labels == ["slope(-1)", "slope(0)", "slope(1)", "slope(inf)"]
-    by_label = {p.label: p for p in d.pieces}
-    assert by_label["slope(0)"].isotropy == subgroup(1, 0)
-    assert by_label["slope(1)"].isotropy == subgroup(2, 2)
-    assert by_label["slope(inf)"].isotropy is None
-
-
-def test_join_report_isotropy_matches_case_table():
-    d = join_report(3)
-    for p in d.pieces:
-        if p.isotropy is None:
-            continue
-        a = Fraction(p.label[len("slope("):-1])
-        gen = p.isotropy.gen
-        if a == 0:
-            assert gen == GroupElement(1, 0)
-        elif a.numerator % 2 == 0:
-            assert Fraction(gen.m, gen.n) == a and gen.m % 2 == 0
-        else:
-            assert Fraction(gen.m, gen.n) == a and gen.m % 4 == 2
-
-
 def test_report_bound_validation():
     with pytest.raises(ValueError):
         pushout_report(-1)
     assert len(pushout_report(PUSHOUT_CAP).pieces) == 10_045
     with pytest.raises(ValueError, match="capped"):
         pushout_report(PUSHOUT_CAP + 1)
-    with pytest.raises(ValueError):
-        join_report(0)
+
+
+# coordinates far past any sweep bound, to pin the closed forms exactly
+BIG = st.integers(-10**30, 10**30)
+RATIONALS = st.builds(Fraction, BIG, st.integers(1, 10**30))
+ELEMENTS = st.builds(GroupElement, BIG, BIG)
+TRANSLATIONS = st.builds(GroupElement, BIG, BIG.map(lambda m: 2 * m))
+REPS = st.sampled_from([subgroup(s * r.gen.n, r.gen.m)
+                        for r in flat_representatives(6) for s in (1, -1)])
+
+
+def _line_through(rep, p):
+    """The line through p parallel to rep's generator (a, b)."""
+    slope = Fraction(rep.gen.m, rep.gen.n)
+    return Line(slope, p.r - slope * p.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENTS, BIG, RATIONALS)
+def test_piece_actions_are_the_line_action(g, n, x):
+    # index n is the vertical line t = n/2, and x the horizontal line r = x
+    assert act_line(g, Line(VERTICAL, Fraction(n, 2))) == \
+        Line(VERTICAL, Fraction(index_action(g, n), 2))
+    assert act_line(g, Line(0, x)) == Line(0, shift_action(g, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPS, TRANSLATIONS, RATIONALS, RATIONALS)
+def test_line_quotient_is_the_parallel_line(rep, g, t, r):
+    # the quotient value of p is -a/2 times the intercept of the line
+    # through p parallel to rep = (a, b); a translation moves that line
+    # to the one through g.p, and shifts the value by quotient_shift
+    p = PlanePoint(t, r)
+    line = _line_through(rep, p)
+    assert line_quotient(rep, p) == -Fraction(rep.gen.n, 2) * line.intercept
+    moved = act_line(g, line)
+    assert moved == _line_through(rep, act_point(g, p))
+    assert -Fraction(rep.gen.n, 2) * moved.intercept == \
+        line_quotient(rep, p) + quotient_shift(rep, g)
