@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -509,8 +510,16 @@ def main(argv: list[str] | None = None) -> int:
             _emit(args, inputs, result, provenance)
             if isinstance(result, SuiteReport) and not result.ok:
                 ok = False
+        sys.stdout.flush()
     except ValueError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, and send what is still
+        # buffered, and the flush at exit, to devnull so neither raises again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0 if ok else 1
 

@@ -6,6 +6,14 @@ Elements are pairs of integers (n, m) with the twisted product
 
 so the second coordinate acts on the first by sign.  All arithmetic is
 exact; coordinates may be arbitrarily large Python ints.
+
+The public constructors ``GroupElement(n, m)`` and ``AffineMap(...)``
+validate their fields.  Operations on validated values (``mul``, ``inv``,
+``conj``, ``as_affine``, ``AffineMap.compose``) build their results
+unchecked, through ``_element`` and ``_affine``: each sets the slots of a
+bare instance, since fields computed from checked ones need no check.
+``power`` keeps the checked constructor, because its exponent is caller
+input.
 """
 
 from __future__ import annotations
@@ -41,6 +49,18 @@ class GroupElement:
 
 IDENTITY = GroupElement(0, 0)
 
+_new = object.__new__
+_set_n = GroupElement.n.__set__
+_set_m = GroupElement.m.__set__
+
+
+def _element(n: int, m: int) -> GroupElement:
+    """GroupElement(n, m) for int coordinates, without the type check."""
+    g = _new(GroupElement)
+    _set_n(g, n)
+    _set_m(g, m)
+    return g
+
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Product g*h.
@@ -49,12 +69,12 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     GroupElement(n=0, m=2)
     """
     # the parity of m picks the sign (-1)**m; m & 1 is 1 for odd negative m too
-    return GroupElement(g.n - h.n if g.m & 1 else g.n + h.n, g.m + h.m)
+    return _element(g.n - h.n if g.m & 1 else g.n + h.n, g.m + h.m)
 
 
 def inv(g: GroupElement) -> GroupElement:
     """Inverse: (n, m)^-1 = ((-1)**(1-m) * n, -m)."""
-    return GroupElement(g.n if g.m & 1 else -g.n, -g.m)
+    return _element(g.n if g.m & 1 else -g.n, -g.m)
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
@@ -84,7 +104,7 @@ def conj(t: GroupElement, g: GroupElement) -> GroupElement:
         t g t^-1 = ((-1)**t.m * g.n + t.n - (-1)**g.m * t.n, g.m)
     """
     n = -g.n if t.m & 1 else g.n
-    return GroupElement(n + 2 * t.n if g.m & 1 else n, g.m)
+    return _element(n + 2 * t.n if g.m & 1 else n, g.m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +127,7 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, as maps of the plane."""
-        return AffineMap(
+        return _affine(
             self.sign * other.sign,
             self.shift_x + self.sign * other.shift_x,
             self.shift_y + other.shift_y,
@@ -119,6 +139,20 @@ class AffineMap:
 
 AFFINE_IDENTITY = AffineMap(1, 0, 0)
 
+_set_sign = AffineMap.sign.__set__
+_set_shift_x = AffineMap.shift_x.__set__
+_set_shift_y = AffineMap.shift_y.__set__
+
+
+def _affine(sign: int, shift_x: Fraction, shift_y: Fraction) -> AffineMap:
+    """AffineMap(sign, shift_x, shift_y) for a sign of +1 or -1, without
+    the sign check."""
+    a = _new(AffineMap)
+    _set_sign(a, sign)
+    _set_shift_x(a, shift_x)
+    _set_shift_y(a, shift_y)
+    return a
+
 
 def as_affine(g: GroupElement) -> AffineMap:
     """The plane isometry of g: (t, r) -> (g.n + (-1)**g.m * t, g.m + r).
@@ -128,7 +162,7 @@ def as_affine(g: GroupElement) -> AffineMap:
     sign -1 moves every point with t != g.n/2 horizontally and every
     point vertically unless shift_y = 0.
     """
-    return AffineMap(-1 if g.m & 1 else 1, g.n, g.m)
+    return _affine(-1 if g.m & 1 else 1, g.n, g.m)
 
 
 __all__ = [

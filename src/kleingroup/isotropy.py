@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import GroupElement
-from .plane import Line, _line
+from .plane import VERTICAL, Line
 from .subgroups import CyclicSubgroup, subgroup
 
 
@@ -83,7 +83,7 @@ def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     n, m = s.gen.n, s.gen.m
     if m % 2:
         # a glide flip fixes exactly one vertical line, through n/2
-        return FixedSetDescriptor("single-point", line=_line(2, 0, n))
+        return FixedSetDescriptor("single-point", line=Line(VERTICAL, Fraction(n, 2)))
     if m == 0:
         return FixedSetDescriptor("slope-family", slope=Fraction(0))
     if n == 0:
@@ -102,7 +102,7 @@ def line_grid(bound: int) -> list[Line]:
     vertical lines with those intercepts."""
     fracs = fraction_grid(bound)
     lines = [Line(a, b) for a in fracs for b in fracs]
-    lines += [_line(b.denominator, 0, b.numerator) for b in fracs]
+    lines += [Line(VERTICAL, b) for b in fracs]
     return lines
 
 

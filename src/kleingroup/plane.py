@@ -6,6 +6,12 @@ composed with a vertical shift.  A line is the primitive integer triple
 (a, b, c) of a*t + b*r = c, so vertical lines (b == 0) are no special
 case: the action, the stabilizer criterion and the strip width between
 parallel lines are each one formula on the triple.
+
+The public constructors ``PlanePoint(t, r)`` and ``Line(slope, intercept)``
+validate their inputs.  The actions build their results unchecked:
+``act_point`` through ``_point``, since an int plus or minus a Fraction
+is an exact Fraction, and ``act_line`` through ``_set_line``, the one
+normalization routine, which ``Line.__init__`` runs too.
 """
 
 from __future__ import annotations
@@ -57,20 +63,12 @@ class Line:
     def __init__(self, slope, intercept) -> None:
         q = _as_fraction(intercept)
         if slope == VERTICAL:
-            self._set(q.denominator, 0, q.numerator)
+            _set_line(self, q.denominator, 0, q.numerator)
         else:
             p = _as_fraction(slope)
             # r = p*t + q, cleared of both denominators
-            self._set(-p.numerator * q.denominator, p.denominator * q.denominator,
+            _set_line(self, -p.numerator * q.denominator, p.denominator * q.denominator,
                       q.numerator * p.denominator)
-
-    def _set(self, a: int, b: int, c: int) -> None:
-        g = math.gcd(a, b, c)
-        if b < 0 or (b == 0 and a < 0):
-            g = -g
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "c", c // g)
 
     @property
     def vertical(self) -> bool:
@@ -89,23 +87,43 @@ class Line:
         return self.a * p.t + self.b * p.r == self.c
 
 
-def _line(a: int, b: int, c: int) -> Line:
-    """The line a*t + b*r = c, normalized."""
-    line = object.__new__(Line)
-    line._set(a, b, c)
+_new = object.__new__
+_set_t = PlanePoint.t.__set__
+_set_r = PlanePoint.r.__set__
+_set_a = Line.a.__set__
+_set_b = Line.b.__set__
+_set_c = Line.c.__set__
+
+
+def _point(t: Fraction, r: Fraction) -> PlanePoint:
+    """PlanePoint(t, r) for Fraction coordinates, without the conversion."""
+    p = _new(PlanePoint)
+    _set_t(p, t)
+    _set_r(p, r)
+    return p
+
+
+def _set_line(line: Line, a: int, b: int, c: int) -> Line:
+    """Make ``line`` the line a*t + b*r = c, normalized, and return it."""
+    g = math.gcd(a, b, c)
+    if b < 0 or (b == 0 and a < 0):
+        g = -g
+    _set_a(line, a // g)
+    _set_b(line, b // g)
+    _set_c(line, c // g)
     return line
 
 
 def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
     """g.(t, r) = (g.n + (-1)**g.m * t, g.m + r)."""
-    return PlanePoint(g.n - p.t if g.m & 1 else g.n + p.t, g.m + p.r)
+    return _point(g.n - p.t if g.m & 1 else g.n + p.t, g.m + p.r)
 
 
 def act_line(g: GroupElement, line: Line) -> Line:
     """The image of a line: a*t + b*r = c goes to
     s*a*t + b*r = c + s*a*g.n + b*g.m, where s = (-1)**g.m."""
     sa = -line.a if g.m & 1 else line.a
-    return _line(sa, line.b, line.c + sa * g.n + line.b * g.m)
+    return _set_line(_new(Line), sa, line.b, line.c + sa * g.n + line.b * g.m)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ class CyclicSubgroup:
             raise ValueError("generator not in canonical form; use canonicalize")
 
 
+_new = object.__new__
+_set_gen = CyclicSubgroup.gen.__set__
+
+
 def canonicalize(g: GroupElement) -> CyclicSubgroup:
     """The subgroup <g>, with the canonical choice among g and g^-1.
 
@@ -47,7 +51,10 @@ def canonicalize(g: GroupElement) -> CyclicSubgroup:
         raise ValueError("generator must be nonzero")
     if g.m < 0 or (g.m == 0 and g.n < 0):
         g = inv(g)
-    return CyclicSubgroup(g)
+    # both checks of CyclicSubgroup.__post_init__ hold here
+    s = _new(CyclicSubgroup)
+    _set_gen(s, g)
+    return s
 
 
 def subgroup(n: int, m: int) -> CyclicSubgroup:

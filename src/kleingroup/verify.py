@@ -167,15 +167,14 @@ def representation_suite(bound: int = 10) -> SuiteReport:
     action, and only the identity element acts as the identity map."""
     rep = SuiteReport("representation", {"bound": bound})
     elements = _elements(bound)
-    maps = {g: as_affine(g) for g in elements}
-    for g in elements:
-        for h in elements:
-            if maps[g].compose(maps[h]) != as_affine(mul(g, h)):
+    maps = [as_affine(g) for g in elements]
+    for g, a in zip(elements, maps):
+        for h, b in zip(elements, maps):
+            if a.compose(b) != as_affine(mul(g, h)):
                 rep.fail(f"not a homomorphism at {g}, {h}")
             rep.checks += 1
     pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-2)), (Fraction(1, 2), Fraction(3, 7))]
-    for g in elements:
-        a = maps[g]
+    for g, a in zip(elements, maps):
         if a.is_identity() != g.is_identity():
             rep.fail(f"faithfulness fails at {g}")
         for t, r in pts:

@@ -378,6 +378,44 @@ def test_console_script_entry_point():
     assert "(1, 1)" in proc.stdout
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_1_quietly(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(["mul", "1", "0", "0", "1"]) == 1
+        # what is still buffered, and the flush at exit, go to devnull
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kleingroup.cli", "verify", "--suite", "i-complex"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first record
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_product_and_join_commands(capsys):
     code, out, _ = run_cli(["product", "circle", "klein", "--json"], capsys)
     assert code == 0

@@ -56,6 +56,13 @@ def test_coordinates_must_be_exact_ints(bad):
         GroupElement(0, bad)
 
 
+@pytest.mark.parametrize("k", [2.0, Fraction(2)])
+def test_power_rejects_inexact_exponents(k):
+    for g in (GroupElement(3, 2), GroupElement(3, 1)):
+        with pytest.raises(TypeError):
+            power(g, k)
+
+
 def test_known_inverses():
     assert inv(GroupElement(3, 1)) == GroupElement(3, -1)
     assert inv(GroupElement(3, 2)) == GroupElement(-3, -2)
@@ -176,6 +183,19 @@ def test_affine_faithful(g):
 def test_affine_identity():
     assert AFFINE_IDENTITY == as_affine(IDENTITY)
     assert AFFINE_IDENTITY.is_identity()
+
+
+@given(g=elem30, h=elem30, x=st.fractions(min_value=-(10**30), max_value=10**30))
+def test_operation_results_are_public_values(same_value, g, h, x):
+    for built in (mul(g, h), inv(g), conj(g, h)):
+        assert type(built.n) is int and type(built.m) is int
+        same_value(built, GroupElement(built.n, built.m))
+    for built, shift in [(as_affine(g), int),
+                         (as_affine(g).compose(as_affine(h)), int),
+                         (AffineMap(-1, x, x).compose(as_affine(h)), Fraction)]:
+        assert type(built.sign) is int and built.sign in (1, -1)
+        assert type(built.shift_x) is shift and type(built.shift_y) is shift
+        same_value(built, AffineMap(built.sign, built.shift_x, built.shift_y))
 
 
 def test_affine_sign_validation():

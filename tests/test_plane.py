@@ -89,11 +89,23 @@ def test_point_action_free(g, p):
         assert g == IDENTITY
 
 
-@given(lines)
+@given(st.one_of(lines, st.builds(act_line, elems30, lines30)))
+@example(act_line(GroupElement(10**30, 1 - 10**30), Line(VERTICAL, Fraction(-7, 3))))
+@example(act_line(GroupElement(-5, 3), Line(Fraction(10**30, 7), Fraction(-1, 10**6))))
 def test_line_triple_is_normalized_and_views_rebuild_it(line):
     assert math.gcd(line.a, line.b, line.c) == 1
     assert line.b > 0 or (line.b == 0 and line.a > 0)
     assert Line(line.slope, line.intercept) == line
+
+
+@given(g=elems30, p=st.builds(PlanePoint, rationals30, rationals30), line=lines30)
+def test_action_results_are_public_values(same_value, g, p, line):
+    q = act_point(g, p)
+    assert type(q.t) is Fraction and type(q.r) is Fraction
+    same_value(q, PlanePoint(q.t, q.r))
+    image = act_line(g, line)
+    assert all(type(x) is int for x in (image.a, image.b, image.c))
+    same_value(image, Line(image.slope, image.intercept))
 
 
 def test_line_action_examples():
