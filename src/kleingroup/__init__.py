@@ -3,8 +3,8 @@
 The package covers the group law and its affine picture, the lattice of
 infinite cyclic subgroups with commensurability data, the actions on
 the plane and on the space of affine lines, isotropy and fixed-set
-classification, two symbolic classifying-space assemblies, and an
-integer homology engine that evaluates the models at finite stages.
+classification, the symbolic pushout model, and an integer homology
+engine; the join model enters only through its homology table.
 
 Each library module's ``__all__`` is the one list of its public names;
 the package re-exports all of them.

@@ -28,9 +28,11 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        if type(self.rank) is not int or any(type(d) is not int for d in self.torsion):
+            raise TypeError("rank and torsion must be ints")
         if self.rank < 0:
             raise ValueError("negative rank")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion must form a divisibility chain")

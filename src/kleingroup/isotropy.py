@@ -84,8 +84,6 @@ def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     if m % 2:
         # a glide flip fixes exactly one vertical line, through n/2
         return FixedSetDescriptor("single-point", line=Line(VERTICAL, Fraction(n, 2)))
-    if m == 0:
-        return FixedSetDescriptor("slope-family", slope=Fraction(0))
     if n == 0:
         return FixedSetDescriptor("vertical-family")
     return FixedSetDescriptor("slope-family", slope=Fraction(m, n))

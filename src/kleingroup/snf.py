@@ -33,7 +33,7 @@ class IntMatrix:
                 raise ValueError("ncols disagrees with data")
         else:
             self.ncols = 0 if ncols is None else ncols
-        if not all(isinstance(v, int) for row in data for v in row):
+        if not all(type(v) is int for row in data for v in row):
             raise TypeError("entries must be ints")
         self.rows: dict[int, dict[int, int]] = {}
         for i, row in enumerate(data):

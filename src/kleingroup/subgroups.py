@@ -126,19 +126,15 @@ class CommClass:
 def maximal_containing(s: CyclicSubgroup) -> CyclicSubgroup:
     """The maximal infinite cyclic subgroup containing s.
 
-    For a horizontal generator this is <(1,0)>; for an odd generator
-    (n, m) it is <(n, 1)>; for an even tilted generator divide out
-    gcd(n, m/2).  A purely vertical subgroup <(0, 2k)> lies in every
-    <(r, 1)>, so no unique maximal subgroup exists there; we return the
-    vertical envelope <(0, 2)>.
+    For an odd generator (n, m) this is <(n, 1)>; for an even generator
+    divide out gcd(|n|, m/2), which gives <(1, 0)> for a horizontal
+    generator and <(0, 2)> for a vertical one.  A purely vertical
+    subgroup <(0, 2k)> lies in every <(r, 1)>, so no unique maximal
+    subgroup exists there; <(0, 2)> is its vertical envelope.
     """
     n, m = s.gen.n, s.gen.m
-    if m == 0:
-        return subgroup(1, 0)
     if m % 2:
         return subgroup(n, 1)
-    if n == 0:
-        return subgroup(0, 2)
     d = gcd(abs(n), m // 2)
     return subgroup(n // d, m // d)
 
@@ -153,10 +149,9 @@ def comm_class(s: CyclicSubgroup) -> CommClass:
     >>> comm_class(subgroup(2, 4)).rep.gen
     GroupElement(n=1, m=2)
     """
-    n, m = s.gen.n, s.gen.m
-    if m == 0:
+    if s.gen.m == 0:
         return CommClass("H")
-    if m % 2 or n == 0:
+    if _odd_or_vertical(s.gen):
         return CommClass("K")
     g = maximal_containing(s).gen
     return CommClass("R", CyclicSubgroup(GroupElement(abs(g.n), g.m)))

@@ -33,6 +33,19 @@ def test_validation():
         AbelianGroup(0, (1,))
 
 
+@pytest.mark.parametrize("rank, torsion", [
+    (1.5, ()),
+    (True, ()),
+    (1, (2.0,)),
+    (True, (2.0,)),
+    (0, (True,)),
+    (0, (2, 4.0)),
+])
+def test_rejects_inexact_ints(rank, torsion):
+    with pytest.raises(TypeError):
+        AbelianGroup(rank, torsion)
+
+
 def test_direct_sum():
     assert Z.direct_sum(Z2) == AbelianGroup(1, (2,))
     assert Z2.direct_sum(Z2) == AbelianGroup(0, (2, 2))

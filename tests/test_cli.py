@@ -23,6 +23,23 @@ def test_text_output(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("act-line 1 1 2/3 1",
+     "line(slope=-2/3, intercept=8/3)  [line action: slope reflected by parity]"),
+    ("isotropy 0 5", "<(1, 0)>  [isotropy: zero slope]"),
+    ("isotropy inf 3/2", "<(3, 1)>  [isotropy: vertical line, twice-intercept integral]"),
+    ("pow 3 1 3", "(3, 3)  [power: odd generator, odd exponent]"),
+    ("contains 1 2 2 4", "true  [power membership: even generator]"),
+    ("stabilizes 3 1 inf 3/2", "true  [stabilizer criterion: vertical line]"),
+    ("join circle klein", "~H_0 = 0, ~H_1 = 0, ~H_2 = 0, ~H_3 = Z + Z_2"
+     "  [join assembled from reduced factor homologies]"),
+    ("family-contains 3 1 0 4", "true  [family membership: odd-class]"),
+])
+def test_provenance_labels(argv, line, capsys):
+    # labels the golden transcripts do not reach
+    assert run_cli(argv.split(), capsys) == (0, line + "\n", "")
+
+
 def test_json_output_shape(capsys):
     code, out, _ = run_cli(["mul", "2", "1", "3", "1", "--json"], capsys)
     assert code == 0

@@ -173,10 +173,14 @@ def test_chain_divisibility_property():
 def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(TypeError):
-        IntMatrix([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix([[1]], ncols=2)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, False, "1", None])
+def test_matrix_rejects_inexact_ints(entry):
+    with pytest.raises(TypeError):
+        IntMatrix([[0, entry]])
 
 
 def test_matmul():

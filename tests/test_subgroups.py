@@ -5,13 +5,17 @@ actual powers of the generators out to a bound large enough to be
 conclusive on the grid under test.
 """
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kleingroup import (
     CommClass,
     CyclicSubgroup,
+    FixedSetDescriptor,
     GroupElement,
     SubgroupFamily,
     TRANSLATIONS,
@@ -24,6 +28,7 @@ from kleingroup import (
     conj_subgroup,
     contains,
     family_contains,
+    fixed_set,
     maximal_containing,
     power,
     powers,
@@ -167,6 +172,40 @@ def test_maximal_containing_is_maximal_on_grid():
             if contains(t, m.gen) and m.gen.m % 2 == 0 and m.gen.n != 0:
                 # only the vertical envelope case admits larger subgroups
                 pytest.fail(f"{t.gen} strictly contains maximal {m.gen}")
+
+
+BIG = 10**30
+big_coords = st.integers(-BIG, BIG)
+
+
+@given(big_coords, big_coords)
+@example(BIG, 0)
+@example(-BIG, 0)
+@example(0, BIG)
+@example(0, -BIG - 1)
+@example(6 * BIG, 4 * BIG)
+def test_maximal_containing_at_scale(n, m):
+    if n == 0 and m == 0:
+        return
+    s = subgroup(n, m)
+    big = maximal_containing(s)
+    assert contains(big, s.gen)
+    g = big.gen
+    if s.gen.m % 2:
+        assert g.m == 1
+    else:
+        # primitive even generator; the horizontal and vertical ones are
+        # the ends of the same formula
+        assert g.m % 2 == 0 and gcd(abs(g.n), g.m // 2) == 1
+        if s.gen.m == 0:
+            assert big == subgroup(1, 0)
+        if s.gen.n == 0:
+            assert big == subgroup(0, 2)
+
+
+@given(big_coords.filter(bool))
+def test_fixed_set_of_horizontal_at_scale(n):
+    assert fixed_set(subgroup(n, 0)) == FixedSetDescriptor("slope-family", slope=Fraction(0))
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30),
