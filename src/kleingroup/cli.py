@@ -109,10 +109,11 @@ CIRCLES_CAP = 10_000  # circles:N in product and join; its join with K takes 1.3
 def _build_space(name: str):
     if name in _SPACES:
         return _SPACES[name]()
-    circles = int(name.split(":")[1])
-    if circles > CIRCLES_CAP:
+    digits = name.split(":")[1]
+    # no leading zeros, so compare lengths first: int() refuses > 4,300 digits
+    if len(digits) > len(str(CIRCLES_CAP)) or int(digits) > CIRCLES_CAP:
         raise ValueError(f"circles:N capped at {CIRCLES_CAP}")
-    return disjoint_circles(circles)
+    return disjoint_circles(int(digits))
 
 
 _KINDS = {"int": int, "rational": _rational, "slope": _slope, "space": _space_name}

@@ -16,27 +16,27 @@ from math import gcd
 from .core import GroupElement, conj, inv, power
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CyclicSubgroup:
     """The infinite cyclic subgroup generated by ``gen``.
 
     The generator is kept canonical: gen.m > 0, or gen.m == 0 and
     gen.n > 0.  Exactly one of g, g^-1 satisfies this for g != (0, 0),
-    so equal subgroups compare equal.  Use :func:`canonicalize` to build
-    one from an arbitrary nontrivial element.
+    so equal subgroups compare equal.  This constructor is the only way a
+    subgroup is built; use :func:`canonicalize` to build one from an
+    arbitrary nontrivial element.
     """
 
     gen: GroupElement
 
-    def __post_init__(self) -> None:
-        g = self.gen
-        if g.is_identity():
+    def __init__(self, gen: GroupElement) -> None:
+        if gen.is_identity():
             raise ValueError("generator must be nonzero")
-        if g.m < 0 or (g.m == 0 and g.n < 0):
+        if gen.m < 0 or (gen.m == 0 and gen.n < 0):
             raise ValueError("generator not in canonical form; use canonicalize")
+        _set_gen(self, gen)
 
 
-_new = object.__new__
 _set_gen = CyclicSubgroup.gen.__set__
 
 
@@ -47,14 +47,7 @@ def canonicalize(g: GroupElement) -> CyclicSubgroup:
     >>> canonicalize(GroupElement(3, -4)).gen
     GroupElement(n=-3, m=4)
     """
-    if g.is_identity():
-        raise ValueError("generator must be nonzero")
-    if g.m < 0 or (g.m == 0 and g.n < 0):
-        g = inv(g)
-    # both checks of CyclicSubgroup.__post_init__ hold here
-    s = _new(CyclicSubgroup)
-    _set_gen(s, g)
-    return s
+    return CyclicSubgroup(inv(g) if g.m < 0 or (g.m == 0 and g.n < 0) else g)
 
 
 def subgroup(n: int, m: int) -> CyclicSubgroup:

@@ -200,8 +200,8 @@ def test_pushout_report_cap_exits_1(capsys):
 @pytest.mark.parametrize("command", ["product", "join"])
 def test_space_circles_cap_exits_1(command, capsys):
     # circles:30000 took 6 s; circles:100000000 raised MemoryError under a
-    # 2 GiB memory limit
-    for space in ("circles:10001", "circles:100000000"):
+    # 2 GiB memory limit; int() refuses more than 4,300 digits
+    for space in ("circles:10001", "circles:100000000", "circles:" + "9" * 4301):
         code, out, err = run_cli([command, space, "klein"], capsys)
         assert code == 1, space
         assert out == ""

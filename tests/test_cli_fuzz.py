@@ -23,7 +23,7 @@ TOKENS = {  # well-formed tokens of each argument kind
     "int": INTS,
     "rational": RATIONALS,
     "slope": RATIONALS + ["inf"],
-    "space": ["circles:1", "circles:3", "point", "circle", "klein"],
+    "space": ["circles:1", "circles:3", "circles:" + "9" * 4301, "point", "circle", "klein"],
 }
 MALFORMED = ["", "x", "1..2", "1/0", "2/-3", "0x10", "--", "circles:0", f"-1e{EXPONENT_CAP}"]
 POOL = sorted(set(MALFORMED).union(*TOKENS.values()))

@@ -56,10 +56,10 @@ def test_coordinates_must_be_exact_ints(bad):
         GroupElement(0, bad)
 
 
-@pytest.mark.parametrize("k", [2.0, Fraction(2)])
+@pytest.mark.parametrize("k", [2.0, Fraction(2), True, False])
 def test_power_rejects_inexact_exponents(k):
     for g in (GroupElement(3, 2), GroupElement(3, 1)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^exponent must be an integer$"):
             power(g, k)
 
 

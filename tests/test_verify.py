@@ -11,28 +11,12 @@ from kleingroup.verify import (
     commensurability_suite,
     fixed_set_suite,
     group_law_suite,
+    i_complex_suite,
     isotropy_suite,
     kn_suite,
     maps_suite,
     representation_suite,
 )
-
-
-def test_all_suites_pass_small():
-    small = {
-        "group-law": dict(bound=4, samples=200),
-        "representation": dict(bound=4),
-        "isotropy": dict(element_bound=4, line_bound=2),
-        "fixed-set": dict(gen_bound=3, line_bound=2),
-        "commensurability": dict(bound=5),
-        "kn-action": dict(bound=4),
-        "equivariant-maps": dict(bound=4, rep_bound=2),
-        "i-complex": dict(bound=3),
-    }
-    for name, fn in SUITES.items():
-        rep = fn(**small[name])
-        assert rep.ok, (name, rep.failures)
-        assert rep.checks > 0
 
 
 def test_run_suite_dispatch():
@@ -74,23 +58,35 @@ def test_failure_cap():
     assert not rep.ok
 
 
-@pytest.mark.parametrize("fn", [
-    group_law_suite, representation_suite, isotropy_suite, fixed_set_suite,
-    commensurability_suite, kn_suite, maps_suite,
+# every suite at tiny and at small bounds; a tiny case's id is the suite
+# function's name, a small case's adds "-small"
+TINY = {
+    group_law_suite: dict(bound=2, samples=50),
+    representation_suite: dict(bound=3),
+    isotropy_suite: dict(element_bound=3, line_bound=1),
+    fixed_set_suite: dict(gen_bound=2, line_bound=1),
+    commensurability_suite: dict(bound=3),
+    kn_suite: dict(bound=3),
+    maps_suite: dict(bound=3, rep_bound=1),
+    i_complex_suite: dict(bound=1),
+}
+SMALL = {
+    group_law_suite: dict(bound=4, samples=200),
+    representation_suite: dict(bound=4),
+    isotropy_suite: dict(element_bound=4, line_bound=2),
+    fixed_set_suite: dict(gen_bound=3, line_bound=2),
+    commensurability_suite: dict(bound=5),
+    kn_suite: dict(bound=4),
+    maps_suite: dict(bound=4, rep_bound=2),
+    i_complex_suite: dict(bound=3),
+}
+
+
+@pytest.mark.parametrize("fn, kwargs", [
+    *(pytest.param(fn, kw, id=fn.__name__) for fn, kw in TINY.items()),
+    *(pytest.param(fn, kw, id=fn.__name__ + "-small") for fn, kw in SMALL.items()),
 ])
-def test_suites_run_clean_at_tiny_bounds(fn):
-    kwargs = {}
-    if fn is group_law_suite:
-        kwargs = dict(bound=2, samples=50)
-    elif fn is isotropy_suite:
-        kwargs = dict(element_bound=3, line_bound=1)
-    elif fn is fixed_set_suite:
-        kwargs = dict(gen_bound=2, line_bound=1)
-    elif fn is maps_suite:
-        kwargs = dict(bound=3, rep_bound=1)
-    elif fn is representation_suite or fn is kn_suite:
-        kwargs = dict(bound=3)
-    elif fn is commensurability_suite:
-        kwargs = dict(bound=3)
+def test_suites_run_clean_at_tiny_bounds(fn, kwargs):
     rep = fn(**kwargs)
     assert rep.ok, rep.failures
+    assert rep.checks > 0
