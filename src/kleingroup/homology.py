@@ -1,16 +1,18 @@
 """Integral homology of chain complexes, with Kunneth assembly.
 
 Ranks and torsion come from Smith normal form of the boundary
-operators.  Homology of a product is assembled from the factors by the
-Kunneth formula; homology of a join by its reduced variant, one degree
-up.  The two routes are kept independent so they can check each other.
+operators, reduced from the top degree down with the columns that the
+degree above proves redundant left out (exact once the double boundary
+is checked to be zero).  Homology of a product is assembled from the
+factors by the Kunneth formula; homology of a join by its reduced
+variant, one degree up.  The two routes are kept independent so they can check each other.
 """
 
 from __future__ import annotations
 
 from .abelian import TRIVIAL, AbelianGroup, GradedGroups, Z
 from .simplicial import SimplicialComplex, disjoint_circles, join, klein_complex
-from .snf import IntMatrix, smith_normal_form
+from .snf import IntMatrix, diagonal_moduli, invariant_factor_chain
 
 
 def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> GradedGroups:
@@ -19,6 +21,19 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
     ``boundaries[k]`` is the matrix of the boundary from degree k+1 to
     degree k (so a 0-dimensional complex passes one (vertices x 0)
     matrix).  Rejects mismatched shapes and nonzero double boundaries.
+
+    The boundaries are reduced from the top degree down.  Before
+    ``boundaries[k-1]`` is reduced, the columns indexed by the unit-prefix
+    rows of ``boundaries[k]`` (see :func:`~kleingroup.snf.diagonal_moduli`)
+    are left out, as in the clearing of Chen and Kerber (2011).  The row
+    operations that reduce ``boundaries[k]`` are a basis change of degree
+    k.  In the final basis, the column of ``boundaries[k-1]`` at each
+    pivot row is zero, since its product with the nonzero pivot is part
+    of the double boundary.  A prefix step only adds its pivot row to
+    other rows, so it changes that row's column alone, and the later
+    steps never touch a prefix row.  Dropping the prefix columns thus
+    moves no rank or invariant factor, but only because the double
+    boundary was checked to be zero.
     """
     if not boundaries:
         raise ValueError("need at least one boundary matrix")
@@ -28,7 +43,12 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
         if not (a @ b).is_zero():
             raise ValueError("double boundary is nonzero")
     dims = [boundaries[0].nrows] + [b.ncols for b in boundaries]
-    forms = [smith_normal_form(b) for b in boundaries]
+    forms = []
+    cleared: list[int] = []
+    for b in reversed(boundaries):
+        moduli, cleared = diagonal_moduli(b, cleared)
+        forms.append((invariant_factor_chain(moduli), len(moduli)))
+    forms.reverse()
     ranks = [0] + [rank for _, rank in forms] + [0]
     groups = []
     for n, dim in enumerate(dims):

@@ -3,9 +3,16 @@
 An ``IntMatrix`` keeps only its nonzero entries, row by row, from
 boundary construction to the reduction.  Entries are Python ints, so
 nothing overflows.  Pivots are units while any is left, else smallest
-entries, which bounds coefficient growth on boundary operators.  Row
-operations clear a pivot's column; the column operations that clear its
-row then touch that row alone, so they reduce to remainders mod the pivot.
+entries.  That does not bound coefficient growth: a scrambled 18 x 16
+boundary has reached entries of 1,955,814 bits.  Row operations clear a
+pivot's column; the column operations that clear its row then touch that
+row alone, so they reduce to remainders mod the pivot.
+
+One loop, :func:`diagonal_moduli`, does the elimination.  It can leave
+out given columns, and it reports the pivot rows of its unit prefix, so
+that ``homology_of_chain`` can leave out the columns those rows index in
+the boundary one degree down (clearing).  That is exact over Z only
+for a chain complex whose double boundary is zero.
 """
 
 from __future__ import annotations
@@ -146,16 +153,34 @@ def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     return at
 
 
-def _diagonal_moduli(m: IntMatrix) -> list[int]:
-    """Diagonalize by unimodular operations; return the positive
-    diagonal entries (not yet chained).  Row operations clear the pivot
-    column; then each other entry of the pivot row becomes its balanced
-    remainder modulo the pivot, and a nonzero one takes over as pivot."""
+def diagonal_moduli(m: IntMatrix, skip=()) -> tuple[list[int], list[int]]:
+    """Diagonalize by unimodular operations, leaving out the columns in
+    ``skip``; return the positive diagonal entries (not yet chained) and
+    the unit-prefix rows.
+
+    Row operations clear the pivot column; then each other entry of the
+    pivot row becomes its balanced remainder modulo the pivot, and a
+    nonzero one takes over as pivot.  The unit prefix is the run of
+    steps before any pivot held a value other than 1 (after its sign
+    flip); its rows are returned in the order they were popped.  A step
+    that starts at a larger pivot and hands over to a 1 has mixed rows,
+    so the prefix ends there even though it pops 1.
+
+    >>> diagonal_moduli(IntMatrix([[1, 2], [3, 4]]))
+    ([1, 2], [0])
+    >>> diagonal_moduli(IntMatrix([[1, 2], [3, 4]]), skip=[0])
+    ([2], [])
+    """
     rows = {i: dict(r) for i, r in m.rows.items()}
     cols: dict[int, set[int]] = defaultdict(set)
     for i, r in rows.items():
         for j in r:
             cols[j].add(i)
+    for j in skip:
+        for i in cols.pop(j, ()):
+            del rows[i][j]
+            if not rows[i]:
+                del rows[i]
 
     def add_row(dst: int, src: int, c: int) -> None:
         # row[dst] += c * row[src]
@@ -172,12 +197,16 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
             del rows[dst]
 
     moduli: list[int] = []
+    unit_rows: list[int] = []
+    units = True
     while rows:
         pi, pj = _pivot(rows)
         while True:
             if rows[pi][pj] < 0:
                 rows[pi] = {j: -v for j, v in rows[pi].items()}
             p = rows[pi][pj]
+            if p != 1:
+                units = False
             for i in [i for i in cols[pj] if i != pi]:
                 if q := _round_div(rows[i][pj], p):
                     add_row(i, pi, -q)
@@ -197,7 +226,9 @@ def _diagonal_moduli(m: IntMatrix) -> list[int]:
                     break
         moduli.append(rows.pop(pi)[pj])
         cols[pj].discard(pi)
-    return moduli
+        if units:
+            unit_rows.append(pi)
+    return moduli, unit_rows
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[list[int], int]:
@@ -209,8 +240,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], int]:
     >>> smith_normal_form(IntMatrix.zeros(3, 2))
     ([], 0)
     """
-    moduli = _diagonal_moduli(m)
+    moduli, _ = diagonal_moduli(m)
     return invariant_factor_chain(moduli), len(moduli)
 
 
-__all__ = ["IntMatrix", "smith_normal_form", "invariant_factor_chain"]
+__all__ = ["IntMatrix", "smith_normal_form", "diagonal_moduli", "invariant_factor_chain"]

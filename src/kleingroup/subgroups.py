@@ -30,6 +30,8 @@ class CyclicSubgroup:
     gen: GroupElement
 
     def __init__(self, gen: GroupElement) -> None:
+        if type(gen) is not GroupElement:
+            raise TypeError(f"generator must be a GroupElement, got {gen!r}")
         if gen.is_identity():
             raise ValueError("generator must be nonzero")
         if gen.m < 0 or (gen.m == 0 and gen.n < 0):

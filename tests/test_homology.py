@@ -1,6 +1,8 @@
 """Homology engine: known spaces, Kunneth both ways, the model table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleingroup import (
     AbelianGroup,
@@ -22,6 +24,7 @@ from kleingroup import (
     point_complex,
     product,
     simplicial_homology,
+    smith_normal_form,
 )
 
 
@@ -176,3 +179,77 @@ def test_chain_by_hand():
     # 0 -> Z -2-> Z -> 0 has H0 = Z/2
     h = homology_of_chain([IntMatrix([[2]])])
     assert h[0] == Z2 and h[1] == TRIVIAL
+
+
+def test_clearing_stops_at_a_step_that_held_a_non_unit_pivot():
+    # the middle boundary's first step starts at pivot 2 and switches rows
+    # to pop 1; clearing that row's column of the bottom boundary would
+    # leave [[-9, 0], [0, 0]] there and give H_0 = Z + Z_9
+    h = homology_of_chain([
+        IntMatrix([[6, -9, 0], [0, 0, 0]]),
+        IntMatrix([[3, 0], [2, 0], [0, 0]]),
+        IntMatrix([[0, 0], [3, 3]]),
+    ])
+    assert h.text() == "H_0 = Z + Z_3, H_1 = Z, H_2 = Z_3, H_3 = Z"
+
+
+def scrambled_complex(rng, degrees=4, ranks=(2, 8), moduli=(1, 30)):
+    """Boundary matrices (``b[k]``: degree k+1 -> k) of a direct sum of
+    pieces Z --d--> Z and free Z's, after random elementary basis changes
+    in every chain group, and the homology the pieces prescribe.
+
+    A change U in degree k acts as U on the rows of the boundary into
+    degree k and as U^-1 on the columns of the boundary out of it, so
+    the double boundary stays zero while entries and pivots stop being
+    units.
+    """
+    dims = [rng.randint(*ranks) for _ in range(degrees)]
+    b = [[[0] * dims[k + 1] for _ in range(dims[k])] for k in range(degrees - 1)]
+    used = [0] * degrees
+    torsion: list[list[int]] = [[] for _ in dims]
+    for k in range(degrees - 1):
+        for _ in range(rng.randint(0, min(dims[k] - used[k], dims[k + 1]))):
+            d = rng.randint(*moduli)
+            b[k][used[k]][used[k + 1]] = d
+            torsion[k].append(d)
+            used[k] += 1
+            used[k + 1] += 1
+    for k, n in enumerate(dims):
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            if k < degrees - 1:  # basis row i += c * row j
+                b[k][i] = [x + c * y for x, y in zip(b[k][i], b[k][j])]
+            if k > 0:  # and column j -= c * column i one degree up
+                for row in b[k - 1]:
+                    row[j] -= c * row[i]
+    expected = GradedGroups(tuple(
+        AbelianGroup.from_moduli(n - used[k], torsion[k]) for k, n in enumerate(dims)))
+    return [IntMatrix(m) for m in b], expected
+
+
+def homology_without_clearing(boundaries):
+    """Each boundary through smith_normal_form on all its columns."""
+    forms = [smith_normal_form(b) for b in boundaries] + [([], 0)]
+    ranks = [0] + [rank for _, rank in forms]
+    dims = [boundaries[0].nrows] + [b.ncols for b in boundaries]
+    return GradedGroups(tuple(
+        AbelianGroup(dim - ranks[n] - ranks[n + 1], tuple(d for d in forms[n][0] if d > 1))
+        for n, dim in enumerate(dims)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_clearing_matches_the_reduction_without_it(rng):
+    boundaries, expected = scrambled_complex(rng)
+    h = homology_of_chain(boundaries)
+    assert h == homology_without_clearing(boundaries)
+    assert h == expected
+
+
+@pytest.mark.parametrize("build, n", [(join, n) for n in range(1, 9)] + [(product, 1), (product, 2)])
+def test_ranks_add_up_to_the_euler_characteristic(build, n):
+    # an oracle that counts simplices and never runs the elimination
+    x = build(disjoint_circles(n), klein_complex())
+    h = simplicial_homology(x)
+    assert sum((-1) ** d * h[d].rank for d in range(h.top_degree + 1)) == x.euler_characteristic()

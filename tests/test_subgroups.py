@@ -5,6 +5,7 @@ actual powers of the generators out to a bound large enough to be
 conclusive on the grid under test.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -69,6 +70,12 @@ def test_constructor_rejections():
         CyclicSubgroup(GroupElement(1, -2))
     with pytest.raises(ValueError, match="canonical"):
         CyclicSubgroup(GroupElement(-1, 0))
+
+
+@pytest.mark.parametrize("gen", [(1, 0), "x", None, 3])
+def test_constructor_rejects_a_generator_that_is_not_a_group_element(gen):
+    with pytest.raises(TypeError, match=f"^generator must be a GroupElement, got {re.escape(repr(gen))}$"):
+        CyclicSubgroup(gen)
 
 
 @pytest.mark.parametrize("gen", canonical_gens(GRID))
