@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .abelian import TRIVIAL, AbelianGroup, GradedGroups, Z
 from .simplicial import SimplicialComplex, disjoint_circles, join, klein_complex
-from .snf import IntMatrix, diagonal_moduli, invariant_factor_chain
+from .snf import IntMatrix, smith_normal_form
 
 
 def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> GradedGroups:
@@ -24,7 +24,7 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
 
     The boundaries are reduced from the top degree down.  Before
     ``boundaries[k-1]`` is reduced, the columns indexed by the unit-prefix
-    rows of ``boundaries[k]`` (see :func:`~kleingroup.snf.diagonal_moduli`)
+    rows of ``boundaries[k]`` (see :func:`~kleingroup.snf.smith_normal_form`)
     are left out, as in the clearing of Chen and Kerber (2011).  The row
     operations that reduce ``boundaries[k]`` are a basis change of degree
     k.  In the final basis, the column of ``boundaries[k-1]`` at each
@@ -46,8 +46,8 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
     forms = []
     cleared: list[int] = []
     for b in reversed(boundaries):
-        moduli, cleared = diagonal_moduli(b, cleared)
-        forms.append((invariant_factor_chain(moduli), len(moduli)))
+        factors, rank, cleared = smith_normal_form(b, cleared, prefix=True)
+        forms.append((factors, rank))
     forms.reverse()
     ranks = [0] + [rank for _, rank in forms] + [0]
     groups = []

@@ -8,11 +8,12 @@ boundary has reached entries of 1,955,814 bits.  Row operations clear a
 pivot's column; the column operations that clear its row then touch that
 row alone, so they reduce to remainders mod the pivot.
 
-One loop, :func:`diagonal_moduli`, does the elimination.  It can leave
-out given columns, and it reports the pivot rows of its unit prefix, so
-that ``homology_of_chain`` can leave out the columns those rows index in
-the boundary one degree down (clearing).  That is exact over Z only
-for a chain complex whose double boundary is zero.
+One loop, ``_diagonal_moduli``, does the elimination.  Through
+:func:`smith_normal_form` it can leave out given columns and report the
+pivot rows of its unit prefix, so that ``homology_of_chain`` can leave
+out the columns those rows index in the boundary one degree down
+(clearing).  That is exact over Z only for a chain complex whose double
+boundary is zero.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     return at
 
 
-def diagonal_moduli(m: IntMatrix, skip=()) -> tuple[list[int], list[int]]:
+def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     """Diagonalize by unimodular operations, leaving out the columns in
     ``skip``; return the positive diagonal entries (not yet chained) and
     the unit-prefix rows.
@@ -165,11 +166,6 @@ def diagonal_moduli(m: IntMatrix, skip=()) -> tuple[list[int], list[int]]:
     flip); its rows are returned in the order they were popped.  A step
     that starts at a larger pivot and hands over to a 1 has mixed rows,
     so the prefix ends there even though it pops 1.
-
-    >>> diagonal_moduli(IntMatrix([[1, 2], [3, 4]]))
-    ([1, 2], [0])
-    >>> diagonal_moduli(IntMatrix([[1, 2], [3, 4]]), skip=[0])
-    ([2], [])
     """
     rows = {i: dict(r) for i, r in m.rows.items()}
     cols: dict[int, set[int]] = defaultdict(set)
@@ -231,17 +227,31 @@ def diagonal_moduli(m: IntMatrix, skip=()) -> tuple[list[int], list[int]]:
     return moduli, unit_rows
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[list[int], int]:
+def smith_normal_form(m: IntMatrix, skip=(), prefix: bool = False) -> tuple:
     """Invariant factors (the nonzero SNF diagonal, each dividing the
-    next) and the rank.
+    next) and the rank, of ``m`` with the columns in ``skip`` left out.
+    With ``prefix``, also the rows of the unit prefix: the pivot rows
+    popped before any pivot held a value other than 1 (after its sign
+    flip), in the order they were popped.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     ([1, 6], 2)
     >>> smith_normal_form(IntMatrix.zeros(3, 2))
     ([], 0)
+    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), prefix=True)
+    ([1, 2], 2, [0])
+    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip=[0], prefix=True)
+    ([2], 1, [])
     """
-    moduli, _ = diagonal_moduli(m)
+    for j in skip:
+        if type(j) is not int:
+            raise TypeError(f"skipped column must be an int, got {j!r}")
+        if not 0 <= j < m.ncols:
+            raise ValueError(f"skipped column {j} outside 0..{m.ncols - 1}")
+    moduli, unit_rows = _diagonal_moduli(m, skip)
+    if prefix:
+        return invariant_factor_chain(moduli), len(moduli), unit_rows
     return invariant_factor_chain(moduli), len(moduli)
 
 
-__all__ = ["IntMatrix", "smith_normal_form", "diagonal_moduli", "invariant_factor_chain"]
+__all__ = ["IntMatrix", "smith_normal_form", "invariant_factor_chain"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleingroup import IntMatrix, diagonal_moduli, invariant_factor_chain, smith_normal_form
+from kleingroup import IntMatrix, invariant_factor_chain, smith_normal_form
 
 
 def minor_gcds(m: IntMatrix):
@@ -121,12 +121,12 @@ def matrices(draw):
 
 
 def test_unit_prefix_ends_at_the_first_non_unit_pivot():
-    assert diagonal_moduli(IntMatrix([[1, 0], [0, -1]])) == ([1, 1], [0, 1])
+    assert smith_normal_form(IntMatrix([[1, 0], [0, -1]]), prefix=True) == ([1, 1], 2, [0, 1])
     # pivot 2 clears row 0 down to 1 and hands the pivot over: that step
     # pops 1 but has mixed rows 0 and 1, so the prefix is empty
-    assert diagonal_moduli(IntMatrix([[3, 0], [2, 0], [0, 0]])) == ([1], [])
+    assert smith_normal_form(IntMatrix([[3, 0], [2, 0], [0, 0]]), prefix=True) == ([1], 1, [])
     # pivot 2 leaves row 1 at (0, 1); that later unit step stays outside
-    assert diagonal_moduli(IntMatrix([[2, 4], [4, 9]])) == ([2, 1], [])
+    assert smith_normal_form(IntMatrix([[2, 4], [4, 9]]), prefix=True) == ([1, 2], 2, [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,8 +135,16 @@ def test_skipped_columns_are_left_out(m, data):
     skip = data.draw(st.sets(st.integers(0, m.ncols - 1))) if m.ncols else set()
     kept = IntMatrix([[0 if j in skip else m.rows.get(i, {}).get(j, 0) for j in range(m.ncols)]
                       for i in range(m.nrows)], ncols=m.ncols)
-    moduli, _ = diagonal_moduli(m, skip)
-    assert (invariant_factor_chain(moduli), len(moduli)) == smith_normal_form(kept)
+    assert smith_normal_form(m, skip) == smith_normal_form(kept)
+
+
+@pytest.mark.parametrize("skip, error", [
+    ([2], ValueError), ([-1], ValueError), ([0, 5], ValueError),
+    ([1.0], TypeError), (["0"], TypeError), ([True], TypeError), ([None], TypeError),
+])
+def test_skip_rejects_a_column_outside_the_matrix(skip, error):
+    with pytest.raises(error, match="skipped column"):
+        smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip)
 
 
 def test_matches_sympy_smith_normal_form():
