@@ -16,16 +16,16 @@ from math import gcd
 
 from .core import GroupElement
 from .plane import VERTICAL, Line
-from .subgroups import CyclicSubgroup, subgroup
+from .subgroups import CyclicSubgroup, maximal_translations, subgroup
 
 
 def isotropy_group(line: Line) -> CyclicSubgroup:
     """The stabilizer of a line, always nontrivial infinite cyclic.
 
-    The translations along a*t + b*r = c are the multiples of
-    (b, -a)/gcd(a, b); only the even ones keep the line, since a glide
-    reverses t.  The exception is a vertical line t = c/a with 2c/a an
-    integer, which the glide (2c/a, 1) flips onto itself.
+    A glide reverses t, so only translations keep a*t + b*r = c: the
+    maximal translations along its primitive direction (b, -a)/gcd(a, b).
+    The exception is a vertical line t = c/a with 2c/a an integer, which
+    the glide (2c/a, 1) flips onto itself.
 
     >>> isotropy_group(Line(Fraction(2, 3), Fraction(4))).gen
     GroupElement(n=3, m=2)
@@ -36,9 +36,7 @@ def isotropy_group(line: Line) -> CyclicSubgroup:
     if b == 0 and 2 * c % a == 0:
         return subgroup(2 * c // a, 1)
     d = gcd(a, b)
-    n, m = b // d, -a // d
-    k = 1 + m % 2
-    return subgroup(k * n, k * m)
+    return maximal_translations(b // d, -a // d)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .subgroups import (
     CyclicSubgroup,
     SubgroupFamily,
     class_family,
+    comm_class,
     commensurator,
 )
 
@@ -141,8 +142,8 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
         raise ValueError("orbit_bound must be nonnegative")
     if orbit_bound > PUSHOUT_CAP:
         raise ValueError(f"orbit_bound capped at {PUSHOUT_CAP}")
-    classes = [CommClass("H"), CommClass("K")]
-    classes += [CommClass("R", rep) for rep in flat_representatives(orbit_bound)]
+    classes = [CommClass((1, 0)), CommClass((0, 1))]
+    classes += [comm_class(rep) for rep in flat_representatives(orbit_bound)]
     pieces = []
     for c in classes:
         label, space, _ = _PIECE_TEXT[c.tag]

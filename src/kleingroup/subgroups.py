@@ -2,10 +2,11 @@
 
 Every nontrivial proper subgroup of interest here is infinite cyclic,
 written as the span of a canonical generator.  Two subgroups are
-commensurable when they intersect in an infinite subgroup; the quotient
-set has three kinds of classes, tagged H (horizontal), K (odd or purely
-vertical) and R (the remaining even directions, one class per reduced
-direction up to a sign flip).
+commensurable (intersect in an infinite subgroup) exactly when they fix
+lines of one primitive direction (p, q), with (0, 1) for every glide.
+A glide conjugates p to -p, so classes, and the families the pushout
+model glues them along, are keyed by the direction (|p|, q): tag H is
+(1, 0), K is (0, 1), and R is every other (flat) direction.
 """
 
 from __future__ import annotations
@@ -79,59 +80,77 @@ def contains(s: CyclicSubgroup, g: GroupElement) -> bool:
     return g.n == (0 if k % 2 == 0 else n)
 
 
-def _odd_or_vertical(g: GroupElement) -> bool:
-    return g.m % 2 == 1 or g.n == 0
+def fixed_direction(s: CyclicSubgroup) -> tuple[int, int]:
+    """The primitive integer direction (p, q) of the lines s fixes: the
+    generator divided by its gcd when it is even, so q > 0 or (p, q) is
+    (1, 0), and (0, 1) for a glide, which fixes one vertical line.
 
-
-def commensurable(s: CyclicSubgroup, t: CyclicSubgroup) -> bool:
-    """Whether s and t share a common nontrivial power.
-
-    Decided by parity case analysis.  A generator with odd second
-    coordinate squares into the vertical line {(0, 2k)}, so the odd
-    subgroups and the purely vertical even ones all mesh with each
-    other; two even generators mesh exactly when they are parallel.
-    """
-    g, h = s.gen, t.gen
-    if g.m % 2 or h.m % 2:
-        return _odd_or_vertical(g) and _odd_or_vertical(h)
-    return g.n * h.m == h.n * g.m
-
-
-@dataclass(frozen=True)
-class CommClass:
-    """A commensurability class: tag 'H', 'K', or 'R' with a reduced
-    representative subgroup for tag R.
-
-    The R representative is normalized across the conjugation orbit
-    (which flips the sign of the first coordinate), so classes of
-    conjugate subgroups compare equal; see :func:`maximal_containing`
-    for the un-flipped maximal subgroup.
-    """
-
-    tag: str
-    rep: CyclicSubgroup | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("H", "K", "R"):
-            raise ValueError("tag must be one of H, K, R")
-        if (self.rep is not None) != (self.tag == "R"):
-            raise ValueError("exactly the R tag carries a representative")
-
-
-def maximal_containing(s: CyclicSubgroup) -> CyclicSubgroup:
-    """The maximal infinite cyclic subgroup containing s.
-
-    For an odd generator (n, m) this is <(n, 1)>; for an even generator
-    divide out gcd(|n|, m/2), which gives <(1, 0)> for a horizontal
-    generator and <(0, 2)> for a vertical one.  A purely vertical
-    subgroup <(0, 2k)> lies in every <(r, 1)>, so no unique maximal
-    subgroup exists there; <(0, 2)> is its vertical envelope.
+    >>> fixed_direction(subgroup(-6, 4)), fixed_direction(subgroup(0, 8))
+    ((-3, 2), (0, 1))
+    >>> fixed_direction(subgroup(5, 3)), fixed_direction(subgroup(-7, 0))
+    ((0, 1), (1, 0))
     """
     n, m = s.gen.n, s.gen.m
     if m % 2:
-        return subgroup(n, 1)
-    d = gcd(abs(n), m // 2)
-    return subgroup(n // d, m // d)
+        return (0, 1)
+    d = gcd(n, m)
+    return (n // d, m // d)
+
+
+def maximal_translations(p: int, q: int) -> CyclicSubgroup:
+    """The maximal translations along the primitive direction (p, q):
+    <(p, q)> for even q, else <(2p, 2q)>, as (p, q) is then a glide."""
+    k = 1 + q % 2
+    return subgroup(k * p, k * q)
+
+
+def commensurable(s: CyclicSubgroup, t: CyclicSubgroup) -> bool:
+    """Whether s and t share a common nontrivial power: whether they fix
+    lines of one direction.  A glide squares into the vertical <(0, 2)>,
+    and two translations mesh exactly when they are parallel."""
+    return fixed_direction(s) == fixed_direction(t)
+
+
+def _check_direction(direction) -> None:
+    """Accept exactly the class keys: a primitive pair of ints p, q >= 0."""
+    if type(direction) is not tuple or not all(type(x) is int for x in direction):
+        raise TypeError(f"direction must be a tuple of ints, got {direction!r}")
+    if len(direction) != 2 or min(direction) < 0 or gcd(*direction) != 1:
+        raise ValueError(f"direction must be primitive with p, q >= 0, got {direction!r}")
+
+
+_TAGS = {(1, 0): "H", (0, 1): "K"}
+
+
+@dataclass(frozen=True, slots=True)
+class CommClass:
+    """A commensurability class, keyed by its fixed direction (|p|, q), as
+    a glide conjugates p to -p.  Views: ``tag`` is H for (1, 0), K for
+    (0, 1), else R, when ``rep`` is the maximal translations along it."""
+
+    direction: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        _check_direction(self.direction)
+
+    @property
+    def tag(self) -> str:
+        return _TAGS.get(self.direction, "R")
+
+    @property
+    def rep(self) -> CyclicSubgroup | None:
+        return None if self.direction in _TAGS else maximal_translations(*self.direction)
+
+
+def maximal_containing(s: CyclicSubgroup) -> CyclicSubgroup:
+    """The maximal infinite cyclic subgroup containing s: <(n, 1)> for a
+    glide (n, m), else the maximal translations along its fixed direction.
+    A purely vertical <(0, 2k)> lies in every <(r, 1)>, so it has no
+    unique maximal overgroup; <(0, 2)> is its vertical envelope.
+    """
+    if s.gen.m % 2:
+        return subgroup(s.gen.n, 1)
+    return maximal_translations(*fixed_direction(s))
 
 
 def comm_class(s: CyclicSubgroup) -> CommClass:
@@ -141,15 +160,11 @@ def comm_class(s: CyclicSubgroup) -> CommClass:
     'H'
     >>> comm_class(subgroup(7, 3)).tag
     'K'
-    >>> comm_class(subgroup(2, 4)).rep.gen
-    GroupElement(n=1, m=2)
+    >>> comm_class(subgroup(-2, 4))
+    CommClass(direction=(1, 2))
     """
-    if s.gen.m == 0:
-        return CommClass("H")
-    if _odd_or_vertical(s.gen):
-        return CommClass("K")
-    g = maximal_containing(s).gen
-    return CommClass("R", CyclicSubgroup(GroupElement(abs(g.n), g.m)))
+    p, q = fixed_direction(s)
+    return CommClass((abs(p), q))
 
 
 @dataclass(frozen=True)
@@ -175,61 +190,43 @@ TRANSLATIONS = Commensurator("translation-subgroup")
 
 
 def commensurator(c: CommClass) -> Commensurator:
-    """The commensurator of (any member of) the class c.
-
-    The H and K classes are normalized by everything; an R class is
-    preserved exactly by the index-two translation subgroup, since
-    conjugating by an odd element flips the class direction.
-    """
-    return TRANSLATIONS if c.tag == "R" else WHOLE_GROUP
+    """The commensurator of (any member of) the class c: the whole group
+    for the H and K classes, and for an R class the index-two translation
+    subgroup, since conjugating by a glide flips the class direction."""
+    return WHOLE_GROUP if 0 in c.direction else TRANSLATIONS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupFamily:
-    """A family of subgroups closed under conjugation and subgroups.
+    """The trivial subgroup and the cyclic subgroups fixing lines of
+    ``direction``, keyed like :class:`CommClass`.  Views: ``kind`` is
+    "odd-class" for (0, 1), else "commensurable-into" the ``anchor``, the
+    maximal translations along ``direction``."""
 
-    Kinds:
-
-    - "commensurable-into": the infinite cyclic subgroups commensurable
-      with ``anchor``, plus the trivial subgroup (anchor is maximal for
-      the families built here, so membership is plain containment);
-    - "odd-class": the subgroups commensurable with <(0, 2)> - that is,
-      every <(n, 2m+1)> together with the vertical <(0, 2k)> forced in
-      by closure under subgroups - plus the trivial subgroup.
-    """
-
-    kind: str
-    anchor: CyclicSubgroup | None = None
+    direction: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("commensurable-into", "odd-class"):
-            raise ValueError("unknown family kind")
-        if (self.anchor is not None) != (self.kind == "commensurable-into"):
-            raise ValueError("exactly the commensurable-into kind takes an anchor")
+        _check_direction(self.direction)
 
+    @property
+    def kind(self) -> str:
+        return "odd-class" if self.direction == (0, 1) else "commensurable-into"
 
-_ODD_CLASS_ANCHOR = CyclicSubgroup(GroupElement(0, 2))
+    @property
+    def anchor(self) -> CyclicSubgroup | None:
+        return None if self.direction == (0, 1) else maximal_translations(*self.direction)
 
 
 def family_contains(f: SubgroupFamily, s: CyclicSubgroup) -> bool:
     """Membership of the (nontrivial) cyclic subgroup s in the family f."""
-    if f.kind == "odd-class":
-        return commensurable(s, _ODD_CLASS_ANCHOR)
-    return commensurable(s, f.anchor)
+    return fixed_direction(s) == f.direction
 
 
 def class_family(c: CommClass) -> SubgroupFamily:
-    """The family attached to the class c when assembling the pushout model.
-
-    H classes get the subgroups of <(1, 0)>; an R class gets the
-    subgroups of its maximal representative; the K class gets the odd
-    generators together with the vertical even ones.
-    """
-    if c.tag == "H":
-        return SubgroupFamily("commensurable-into", subgroup(1, 0))
-    if c.tag == "K":
-        return SubgroupFamily("odd-class")
-    return SubgroupFamily("commensurable-into", c.rep)
+    """The family the class c is glued along in the pushout model: the
+    subgroups fixing lines of c's direction, which for a flat class are
+    the subgroups of its representative."""
+    return SubgroupFamily(c.direction)
 
 
 def conj_subgroup(t: GroupElement, s: CyclicSubgroup) -> CyclicSubgroup:
@@ -261,6 +258,8 @@ __all__ = [
     "canonicalize",
     "subgroup",
     "contains",
+    "fixed_direction",
+    "maximal_translations",
     "commensurable",
     "comm_class",
     "maximal_containing",

@@ -175,8 +175,9 @@ def test_pushout_report_census():
     # in the order H, K, then the flat representatives
     for bound in [*range(9), PUSHOUT_CAP]:
         pieces = pushout_report(bound).pieces
-        assert [p.cls for p in pieces] == [CommClass("H"), CommClass("K")] + [
-            CommClass("R", rep) for rep in flat_representatives(bound)
+        assert [p.cls for p in pieces[:2]] == [CommClass((1, 0)), CommClass((0, 1))]
+        assert [(p.cls.tag, p.cls.rep) for p in pieces[2:]] == [
+            ("R", rep) for rep in flat_representatives(bound)
         ]
         for p in pieces:
             assert p.commensurator == commensurator(p.cls)

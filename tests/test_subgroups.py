@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kleingroup import (
@@ -21,6 +21,7 @@ from kleingroup import (
     SubgroupFamily,
     TRANSLATIONS,
     WHOLE_GROUP,
+    canonical_subgroups,
     canonicalize,
     class_family,
     comm_class,
@@ -29,6 +30,7 @@ from kleingroup import (
     conj_subgroup,
     contains,
     family_contains,
+    fixed_direction,
     fixed_set,
     maximal_containing,
     power,
@@ -119,14 +121,17 @@ def test_commensurable_examples():
 
 
 def test_class_tags():
-    assert comm_class(subgroup(5, 0)).tag == "H"
+    assert comm_class(subgroup(5, 0)) == CommClass((1, 0))
     assert comm_class(subgroup(-2, 0)).tag == "H"
-    assert comm_class(subgroup(7, 3)).tag == "K"
+    assert comm_class(subgroup(7, 3)) == CommClass((0, 1))
     assert comm_class(subgroup(0, 2)).tag == "K"
     assert comm_class(subgroup(0, 8)).tag == "K"
-    assert comm_class(subgroup(2, 4)) == CommClass("R", subgroup(1, 2))
-    assert comm_class(subgroup(-6, 4)) == CommClass("R", subgroup(3, 2))
-    assert comm_class(subgroup(4, 6)) == CommClass("R", subgroup(4, 6))
+    assert comm_class(subgroup(2, 4)) == CommClass((1, 2))
+    assert comm_class(subgroup(-6, 4)) == CommClass((3, 2))
+    assert comm_class(subgroup(4, 6)) == CommClass((2, 3))
+    assert CommClass((1, 0)).rep is None and CommClass((0, 1)).rep is None
+    assert CommClass((1, 2)).tag == "R" and CommClass((1, 2)).rep == subgroup(1, 2)
+    assert CommClass((2, 3)).rep == subgroup(4, 6)
 
 
 def test_class_rep_is_reduced():
@@ -150,13 +155,32 @@ def test_class_equality_is_commensurability_up_to_flip():
             assert (comm_class(s) == comm_class(t)) == oracle, (s.gen, t.gen)
 
 
+BAD_DIRECTIONS = [
+    ((2, 4), ValueError), ((-1, 2), ValueError), ((1, -2), ValueError),
+    ((0, 0), ValueError), ((1, 2, 3), ValueError), ((), ValueError),
+    (("1", 0), TypeError), ((True, 0), TypeError), ((1.0, 0), TypeError),
+    ([1, 0], TypeError), ("H", TypeError), (None, TypeError),
+]
+
+
 def test_class_invalid_construction():
-    with pytest.raises(ValueError):
-        CommClass("X")
-    with pytest.raises(ValueError):
-        CommClass("H", subgroup(1, 0))
-    with pytest.raises(ValueError):
-        CommClass("R")
+    for key, error in BAD_DIRECTIONS:
+        with pytest.raises(error, match="direction must be"):
+            CommClass(key)
+    with pytest.raises(TypeError):
+        CommClass("R", subgroup(1, 0))
+
+
+def test_fixed_direction_agrees_with_fixed_set():
+    # (0, 1) exactly for the glides and the vertical even subgroups, and
+    # otherwise the slope q/p of the fixed family
+    for s in canonical_subgroups(12):
+        p, q = fixed_direction(s)
+        d = fixed_set(s)
+        assert gcd(p, q) == 1 and (q > 0 or (p, q) == (1, 0)), s
+        assert ((p, q) == (0, 1)) == (d.kind in ("single-point", "vertical-family")), s
+        if d.kind == "slope-family":
+            assert d.slope == Fraction(q, p), s
 
 
 def test_maximal_containing_examples():
@@ -305,17 +329,99 @@ def test_families_closed_under_subgroups_and_conjugation():
             for k in (2, 3):
                 assert family_contains(fam, canonicalize(power(s.gen, k)))
             for t in (GroupElement(1, 0), GroupElement(0, 1), GroupElement(2, 3)):
-                if fam.kind == "commensurable-into" and fam.anchor.gen.m % 2 == 0 \
-                        and fam.anchor.gen.n != 0 and t.m % 2:
+                if 0 not in fam.direction and t.m % 2:
                     # odd conjugators flip an R direction out of its own family
                     continue
                 assert family_contains(fam, conj_subgroup(t, s))
 
 
 def test_family_invalid_construction():
-    with pytest.raises(ValueError):
-        SubgroupFamily("nope")
-    with pytest.raises(ValueError):
-        SubgroupFamily("odd-class", subgroup(0, 2))
-    with pytest.raises(ValueError):
-        SubgroupFamily("commensurable-into")
+    for key, error in BAD_DIRECTIONS:
+        with pytest.raises(error, match="direction must be"):
+            SubgroupFamily(key)
+    with pytest.raises(TypeError):
+        SubgroupFamily("commensurable-into", subgroup(0, 2))
+
+
+def test_families_are_equal_exactly_when_their_members_agree():
+    subs = canonical_subgroups(6)
+    families = {class_family(comm_class(s)) for s in subs}
+    # every direction whose maximal translations lie on the grid
+    families |= {SubgroupFamily((p, q)) for p in range(4) for q in range(4)
+                 if gcd(p, q) == 1}
+    families = sorted(families, key=lambda f: f.direction)
+    members = [tuple(family_contains(f, s) for s in subs) for f in families]
+    for f, fm in zip(families, members):
+        for g, gm in zip(families, members):
+            assert (f == g) == (fm == gm), (f, g)
+
+
+# A second route, by parity cases: a glide squares into the vertical
+# line, so the glides and the vertical even subgroups all mesh, and two
+# even generators mesh iff parallel.
+def _odd_or_vertical(g):
+    return g.m % 2 == 1 or g.n == 0
+
+
+def parity_commensurable(s, t):
+    g, h = s.gen, t.gen
+    if g.m % 2 or h.m % 2:
+        return _odd_or_vertical(g) and _odd_or_vertical(h)
+    return g.n * h.m == h.n * g.m
+
+
+def gcd_maximal_containing(s):
+    n, m = s.gen.n, s.gen.m
+    if m % 2:
+        return subgroup(n, 1)
+    d = gcd(abs(n), m // 2)
+    return subgroup(n // d, m // d)
+
+
+def case_analysis_anchor(s):
+    """The subgroup the family of s's class is commensurable into: the
+    vertical <(0, 2)> for the odd/vertical class, else the maximal
+    overgroup with its first coordinate made nonnegative."""
+    if _odd_or_vertical(s.gen):
+        return subgroup(0, 2)
+    g = gcd_maximal_containing(s).gen
+    return subgroup(abs(g.n), g.m)
+
+
+small_factors = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """A subgroup with coordinates up to 10**30 and a second one that is
+    unrelated, parallel to it, mirrored, or one of its powers."""
+    n, m = draw(big_coords), draw(big_coords)
+    assume((n, m) != (0, 0))
+    d, k = gcd(n, m), draw(small_factors)
+    how = draw(st.sampled_from(["any", "parallel", "mirror", "power"]))
+    if how == "any":
+        n2, m2 = draw(big_coords), draw(big_coords)
+    elif how == "power":
+        g = power(GroupElement(n, m), k)
+        n2, m2 = g.n, g.m
+    else:
+        n2, m2 = (k if how == "parallel" else -k) * n // d, k * m // d
+    assume((n2, m2) != (0, 0))
+    return subgroup(n, m), subgroup(n2, m2)
+
+
+@given(subgroup_pairs())
+@example((subgroup(BIG, 0), subgroup(-3 * BIG, 0)))
+@example((subgroup(0, 2 * BIG), subgroup(BIG, 2 * BIG + 1)))
+@example((subgroup(6 * BIG, 4 * BIG), subgroup(-3, 2)))
+@example((subgroup(2 * BIG, 3 * BIG), subgroup(4, 6)))
+def test_direction_key_matches_the_case_analysis_at_scale(pair):
+    s, t = pair
+    mirror = subgroup(-t.gen.n, t.gen.m)
+    assert commensurable(s, t) == parity_commensurable(s, t)
+    assert (comm_class(s) == comm_class(t)) == (
+        parity_commensurable(s, t) or parity_commensurable(s, mirror))
+    anchor = case_analysis_anchor(s)
+    assert family_contains(class_family(comm_class(s)), t) == parity_commensurable(t, anchor)
+    assert maximal_containing(s) == gcd_maximal_containing(s)
+    assert maximal_containing(t) == gcd_maximal_containing(t)
