@@ -1,9 +1,17 @@
 """Abstract simplicial complexes: constructions and boundary matrices.
 
 Vertices can be any mutually sortable hashable labels; constructions
-that combine two complexes relabel to integers first.  Boundary
-operators use the sorted vertex order, with the usual alternating
-signs, and fill the sparse rows of an ``IntMatrix`` directly.
+that combine two complexes relabel to integers first.  A complex keeps
+each simplex once, as the tuple of its vertices in sorted order, and
+each dimension's simplices in sorted order; faces are
+``itertools.combinations`` of those tuples, so they come out sorted too.
+
+The boundary of s = (v_0, ..., v_d) is the sum of (-1)^k times the face
+without v_k.  ``combinations(s, d)`` yields the faces without v_d, v_{d-1},
+..., v_0 in that order, so the signs are (-1)^d, ..., -1, +1.  Boundary
+matrices fill the sparse rows of an ``IntMatrix`` directly, with rows and
+the entries of each row in ascending index order: the order in which
+Smith normal form meets its pivots.
 """
 
 from __future__ import annotations
@@ -20,23 +28,21 @@ class SimplicialComplex:
         The downward closure is taken unless ``closed`` promises the
         input already contains every face.
         """
-        faces: set[frozenset] = set()
+        faces: set[tuple] = set()
         for s in simplices:
-            f = frozenset(s)
-            if not f:
+            t = tuple(s)
+            if not t:
                 continue
-            if len(f) != len(tuple(s)):
-                raise ValueError(f"degenerate simplex {tuple(s)!r}")
-            faces.add(f)
+            if len(set(t)) != len(t):
+                raise ValueError(f"degenerate simplex {t!r}")
+            faces.add(tuple(sorted(t)))
         if not closed:
-            extra: set[frozenset] = set()
-            for f in faces:
-                for k in range(1, len(f)):
-                    extra.update(frozenset(c) for c in combinations(f, k))
-            faces |= extra
+            for t in list(faces):
+                for k in range(1, len(t)):
+                    faces.update(combinations(t, k))
         by_dim: dict[int, list] = {}
-        for f in faces:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+        for t in faces:
+            by_dim.setdefault(len(t) - 1, []).append(t)
         self._by_dim = [sorted(by_dim.get(d, [])) for d in range(max(by_dim, default=-1) + 1)]
 
     @property
@@ -62,12 +68,11 @@ class SimplicialComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._by_dim))
 
     def maximal_simplices(self) -> list[tuple]:
-        facets: set[frozenset] = set()
+        facets: set[tuple] = set()
         for d in range(1, self.dim + 1):
             for s in self._by_dim[d]:
-                for k in range(len(s)):
-                    facets.add(frozenset(s[:k] + s[k + 1 :]))
-        return [s for level in self._by_dim for s in level if frozenset(s) not in facets]
+                facets.update(combinations(s, d))
+        return [s for level in self._by_dim for s in level if s not in facets]
 
     def boundary_matrices(self) -> list[IntMatrix]:
         """Matrices of the boundary operators, degree 1 up to the top.
@@ -81,13 +86,16 @@ class SimplicialComplex:
             return [IntMatrix.zeros(len(self._by_dim[0]), 0)]
         out = []
         for d in range(1, self.dim + 1):
-            index = {s: i for i, s in enumerate(self._by_dim[d - 1])}
-            rows: dict[int, dict[int, int]] = {}
-            for j, s in enumerate(self._by_dim[d]):
-                for k in range(len(s)):
-                    rows.setdefault(index[s[:k] + s[k + 1 :]], {})[j] = (-1) ** k
-            mat = IntMatrix.zeros(len(self._by_dim[d - 1]), len(self._by_dim[d]))
-            mat.rows = {i: rows[i] for i in sorted(rows)}
+            faces, cells = self._by_dim[d - 1], self._by_dim[d]
+            index = {s: i for i, s in enumerate(faces)}
+            # combinations(s, d) leaves out s[d], s[d-1], ..., s[0] in turn
+            signs = [(-1) ** (d - k) for k in range(d + 1)]
+            rows: list[dict[int, int]] = [{} for _ in faces]
+            for j, s in enumerate(cells):
+                for face, sign in zip(combinations(s, d), signs):
+                    rows[index[face]][j] = sign
+            mat = IntMatrix.zeros(len(faces), len(cells))
+            mat.rows = {i: r for i, r in enumerate(rows) if r}
             out.append(mat)
         return out
 

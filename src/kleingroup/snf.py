@@ -8,7 +8,15 @@ boundary has reached entries of 1,955,814 bits.  Row operations clear a
 pivot's column; the column operations that clear its row then touch that
 row alone, so they reduce to remainders mod the pivot.
 
-One loop, ``_diagonal_moduli``, does the elimination.  Through
+The order is part of the result.  Boundary matrices and products
+(``a @ b``, which sorts the nonzero entries of each product row) list
+rows, and the entries within a row, in ascending index order.  The pivot
+search takes the first unit in that order, so another order could pick
+other pivots and report another unit prefix, though never other
+invariant factors.
+
+One loop, ``_diagonal_moduli``, does the elimination, with the row
+operations and the balanced division written out in it.  Through
 :func:`smith_normal_form` it can leave out given columns and report the
 pivot rows of its unit prefix, so that ``homology_of_chain`` can leave
 out the columns those rows index in the boundary one degree down
@@ -79,13 +87,16 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = IntMatrix.zeros(self.nrows, other.ncols)
+        orows = other.rows
         for i, row in self.rows.items():
             acc: dict[int, int] = {}
             for k, a in row.items():
-                for j, b in other.rows.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + a * b
-            if nonzero := {j: v for j, v in sorted(acc.items()) if v}:
-                out.rows[i] = nonzero
+                if k in orows:
+                    for j, b in orows[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+            if nonzero := [(j, v) for j, v in acc.items() if v]:
+                nonzero.sort()
+                out.rows[i] = dict(nonzero)
         return out
 
     def is_zero(self) -> bool:
@@ -137,11 +148,6 @@ def invariant_factor_chain(moduli: list[int]) -> list[int]:
     return chain
 
 
-def _round_div(a: int, p: int) -> int:
-    # quotient q minimizing |a - q*p|, for p > 0 (halves round down)
-    return (2 * a + p - 1) // (2 * p)
-
-
 def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     """The first unit entry, else the first entry of smallest magnitude."""
     least, at = 0, (0, 0)
@@ -178,45 +184,48 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
             if not rows[i]:
                 del rows[i]
 
-    def add_row(dst: int, src: int, c: int) -> None:
-        # row[dst] += c * row[src]
-        target = rows[dst]
-        for j, v in rows[src].items():
-            new = target.get(j, 0) + c * v
-            if new:
-                target[j] = new
-                cols[j].add(dst)
-            elif j in target:
-                del target[j]
-                cols[j].discard(dst)
-        if not target:
-            del rows[dst]
-
     moduli: list[int] = []
     unit_rows: list[int] = []
     units = True
     while rows:
         pi, pj = _pivot(rows)
         while True:
-            if rows[pi][pj] < 0:
-                rows[pi] = {j: -v for j, v in rows[pi].items()}
-            p = rows[pi][pj]
+            prow = rows[pi]
+            if prow[pj] < 0:
+                prow = rows[pi] = {j: -v for j, v in prow.items()}
+            p = prow[pj]
             if p != 1:
                 units = False
+            # q = round(a / p), halves rounding down, leaves a - q*p in
+            # (-p/2, p/2]
+            p2 = 2 * p
             for i in [i for i in cols[pj] if i != pi]:
-                if q := _round_div(rows[i][pj], p):
-                    add_row(i, pi, -q)
-                if i in rows and rows[i].get(pj):
+                row = rows[i]
+                if q := (2 * row[pj] + p - 1) // p2:
+                    # row i -= q * row pi
+                    for j, v in prow.items():
+                        if j not in row:
+                            row[j] = -q * v
+                            cols[j].add(i)
+                        elif new := row[j] - q * v:
+                            row[j] = new
+                        else:
+                            del row[j]
+                            cols[j].discard(i)
+                    if not row:
+                        del rows[i]
+                        continue
+                if pj in row:
                     pi = i
                     break
             else:
-                row = rows[pi]
-                for j in [j for j in row if j != pj]:
-                    if r := row[j] - _round_div(row[j], p) * p:
-                        row[j] = r
+                for j in [j for j in prow if j != pj]:
+                    v = prow[j]
+                    if r := v - (2 * v + p - 1) // p2 * p:
+                        prow[j] = r
                         pj = j
                         break
-                    del row[j]
+                    del prow[j]
                     cols[j].discard(pi)
                 else:
                     break

@@ -1,9 +1,14 @@
 """Complex constructions: closure, joins, products, the Klein surface."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleingroup import (
     KLEIN_TRIANGLES,
+    IntMatrix,
     SimplicialComplex,
     circle_complex,
     disjoint_circles,
@@ -28,8 +33,54 @@ def test_closed_flag_trusts_input():
 
 
 def test_degenerate_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"degenerate simplex \(0, 0, 1\)"):
         SimplicialComplex([(0, 0, 1)])
+
+
+def test_degenerate_rejected_when_closed():
+    with pytest.raises(ValueError, match=r"degenerate simplex \(1, 0, 1\)"):
+        SimplicialComplex([(0,), (1,), (0, 1), (1, 0, 1)], closed=True)
+
+
+def test_each_simplex_is_read_once():
+    x = SimplicialComplex([iter((2, 0, 1)), (v for v in (3, 2))])
+    assert x.counts() == [4, 4, 1]
+    with pytest.raises(ValueError, match=r"degenerate simplex \(1, 0, 1\)"):
+        SimplicialComplex([iter((1, 0, 1))])
+
+
+def frozenset_closure(simplices, closed):
+    """The faces of each dimension, as sorted tuples in sorted order, found
+    by reading each simplex as a set and closing under nonempty subsets."""
+    faces = {frozenset(s) for s in simplices} - {frozenset()}
+    if not closed:
+        faces |= {frozenset(c) for f in faces for k in range(1, len(f))
+                  for c in combinations(f, k)}
+    by_dim: dict[int, list] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    return [sorted(by_dim.get(d, [])) for d in range(max(by_dim, default=-1) + 1)]
+
+
+LABEL_SETS = (tuple(range(8)), tuple("abcdefgh"), ("x10", "x9", "y", "z0", "z00", "A"))
+
+
+@st.composite
+def simplex_lists(draw):
+    names = draw(st.sampled_from(LABEL_SETS))
+    simplex = st.lists(st.sampled_from(names), unique=True, max_size=5)
+    return draw(st.lists(simplex, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_lists(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_construction_matches_the_frozenset_closure(simplices, closed, pre_close, rng):
+    if pre_close:  # a closed input, as closed=True promises
+        simplices = [list(s) for level in frozenset_closure(simplices, False) for s in level]
+    shuffled = [rng.sample(s, len(s)) for s in simplices]
+    rng.shuffle(shuffled)
+    x = SimplicialComplex(shuffled, closed=closed)
+    assert [x.simplices(d) for d in range(x.dim + 1)] == frozenset_closure(shuffled, closed)
 
 
 def test_maximal_simplices():
@@ -66,6 +117,39 @@ def test_boundary_squares_to_zero():
         mats = x.boundary_matrices()
         for a, b in zip(mats, mats[1:]):
             assert (a @ b).is_zero()
+
+
+def test_boundary_of_the_standard_3_simplex():
+    # rows and columns in lexicographic order of the sorted simplices;
+    # the face without vertex k carries the sign (-1)^k
+    mats = SimplicialComplex([(0, 1, 2, 3)]).boundary_matrices()
+    d1 = [[-1, -1, -1, 0, 0, 0],   # 0 | columns 01 02 03 12 13 23
+          [1, 0, 0, -1, -1, 0],    # 1
+          [0, 1, 0, 1, 0, -1],     # 2
+          [0, 0, 1, 0, 1, 1]]      # 3
+    d2 = [[1, 1, 0, 0],            # 01 | columns 012 013 023 123
+          [-1, 0, 1, 0],           # 02
+          [0, -1, -1, 0],          # 03
+          [1, 0, 0, 1],            # 12
+          [0, 1, 0, -1],           # 13
+          [0, 0, 1, 1]]            # 23
+    d3 = [[-1], [1], [-1], [1]]    # 012 013 023 123 | column 0123
+    assert [m.data for m in mats] == [d1, d2, d3]
+    assert mats == [IntMatrix(d1), IntMatrix(d2), IntMatrix(d3)]
+
+
+def ascending(m: IntMatrix) -> bool:
+    return list(m.rows) == sorted(m.rows) and all(list(r) == sorted(r) for r in m.rows.values())
+
+
+def test_boundary_rows_iterate_in_index_order():
+    # IntMatrix equality cannot see order, but the order fixes the pivots
+    for x in (SimplicialComplex([(0, 1, 2, 3)]), klein_complex(),
+              product(circle_complex(3), circle_complex(4)),
+              join(disjoint_circles(2), klein_complex())):
+        mats = x.boundary_matrices()
+        assert all(ascending(m) for m in mats)
+        assert all(ascending(a @ b) for a, b in zip(mats, mats[1:]))
 
 
 def test_boundary_shapes_follow_counts():

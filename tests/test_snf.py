@@ -219,6 +219,21 @@ def test_matmul():
         a @ IntMatrix.zeros(3, 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matmul_matches_the_dense_product_in_index_order(data):
+    nr, nk, nc = (data.draw(st.integers(0, 7)) for _ in range(3))
+    entry = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2))
+    a, b = (data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+            for r, c in ((nr, nk), (nk, nc)))
+    dense = [[sum(a[i][k] * b[k][j] for k in range(nk)) for j in range(nc)] for i in range(nr)]
+    p = IntMatrix(a, ncols=nk) @ IntMatrix(b, ncols=nc)
+    assert p == IntMatrix(dense, ncols=nc)
+    # equality cannot see order: rows and their entries iterate ascending
+    assert list(p.rows) == sorted(p.rows)
+    assert all(list(r) == sorted(r) for r in p.rows.values())
+
+
 def test_repr_is_sparse():
     assert repr(IntMatrix([[0, 2, 0], [0, 0, 0]])) == \
         "IntMatrix(nrows=2, ncols=3, rows={0: {1: 2}})"
