@@ -9,11 +9,12 @@ exact; coordinates may be arbitrarily large Python ints.
 
 The public constructors ``GroupElement(n, m)`` and ``AffineMap(...)``
 validate their fields.  The operations build their results unchecked, by
-setting the slots of a bare instance, since fields computed from checked
-ones need no check: ``mul``, ``inv``, ``conj`` and ``power`` through
-``_element`` (1,233,392 calls in a traced ``verify --suite all``, 945,606
-of them ``mul``), and ``as_affine`` and ``AffineMap.compose`` through
-``_affine`` (389,403 calls).  ``power`` checks its exponent first.
+setting the slots of a bare instance in their own body, since fields
+computed from checked ones need no check and a helper would cost a
+Python frame per result: ``mul``, ``inv``, ``conj`` and ``power``
+(1,233,392 results in a traced ``verify --suite all``, 945,606 of them
+from ``mul``), and ``as_affine`` and ``AffineMap.compose`` (389,403
+results).  ``power`` checks its exponent first.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ _set_n = GroupElement.n.__set__
 _set_m = GroupElement.m.__set__
 
 
-def _element(n: int, m: int) -> GroupElement:
-    """GroupElement(n, m) for int coordinates, without the type check."""
-    g = _new(GroupElement)
-    _set_n(g, n)
-    _set_m(g, m)
-    return g
-
-
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Product g*h.
 
@@ -69,12 +62,18 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     GroupElement(n=0, m=2)
     """
     # the parity of m picks the sign (-1)**m; m & 1 is 1 for odd negative m too
-    return _element(g.n - h.n if g.m & 1 else g.n + h.n, g.m + h.m)
+    e = _new(GroupElement)
+    _set_n(e, g.n - h.n if g.m & 1 else g.n + h.n)
+    _set_m(e, g.m + h.m)
+    return e
 
 
 def inv(g: GroupElement) -> GroupElement:
     """Inverse: (n, m)^-1 = ((-1)**(1-m) * n, -m)."""
-    return _element(g.n if g.m & 1 else -g.n, -g.m)
+    e = _new(GroupElement)
+    _set_n(e, g.n if g.m & 1 else -g.n)
+    _set_m(e, -g.m)
+    return e
 
 
 def power(g: GroupElement, k: int) -> GroupElement:
@@ -91,10 +90,15 @@ def power(g: GroupElement, k: int) -> GroupElement:
     if type(k) is not int:
         raise TypeError("exponent must be an integer")
     if g.m % 2 == 0:
-        return _element(k * g.n, k * g.m)
-    if k % 2 == 0:
-        return _element(0, k * g.m)
-    return _element(g.n, k * g.m)
+        n = k * g.n
+    elif k % 2 == 0:
+        n = 0
+    else:
+        n = g.n
+    e = _new(GroupElement)
+    _set_n(e, n)
+    _set_m(e, k * g.m)
+    return e
 
 
 def conj(t: GroupElement, g: GroupElement) -> GroupElement:
@@ -106,7 +110,10 @@ def conj(t: GroupElement, g: GroupElement) -> GroupElement:
         t g t^-1 = ((-1)**t.m * g.n + t.n - (-1)**g.m * t.n, g.m)
     """
     n = -g.n if t.m & 1 else g.n
-    return _element(n + 2 * t.n if g.m & 1 else n, g.m)
+    e = _new(GroupElement)
+    _set_n(e, n + 2 * t.n if g.m & 1 else n)
+    _set_m(e, g.m)
+    return e
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +136,11 @@ class AffineMap:
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, as maps of the plane."""
-        return _affine(
-            self.sign * other.sign,
-            self.shift_x + self.sign * other.shift_x,
-            self.shift_y + other.shift_y,
-        )
+        a = _new(AffineMap)
+        _set_sign(a, self.sign * other.sign)
+        _set_shift_x(a, self.shift_x + self.sign * other.shift_x)
+        _set_shift_y(a, self.shift_y + other.shift_y)
+        return a
 
     def is_identity(self) -> bool:
         return self.sign == 1 and self.shift_x == 0 and self.shift_y == 0
@@ -146,16 +153,6 @@ _set_shift_x = AffineMap.shift_x.__set__
 _set_shift_y = AffineMap.shift_y.__set__
 
 
-def _affine(sign: int, shift_x: Fraction, shift_y: Fraction) -> AffineMap:
-    """AffineMap(sign, shift_x, shift_y) for a sign of +1 or -1, without
-    the sign check."""
-    a = _new(AffineMap)
-    _set_sign(a, sign)
-    _set_shift_x(a, shift_x)
-    _set_shift_y(a, shift_y)
-    return a
-
-
 def as_affine(g: GroupElement) -> AffineMap:
     """The plane isometry of g: (t, r) -> (g.n + (-1)**g.m * t, g.m + r).
 
@@ -164,7 +161,11 @@ def as_affine(g: GroupElement) -> AffineMap:
     sign -1 moves every point with t != g.n/2 horizontally and every
     point vertically unless shift_y = 0.
     """
-    return _affine(-1 if g.m & 1 else 1, g.n, g.m)
+    a = _new(AffineMap)
+    _set_sign(a, -1 if g.m & 1 else 1)
+    _set_shift_x(a, g.n)
+    _set_shift_y(a, g.m)
+    return a
 
 
 __all__ = [

@@ -62,7 +62,11 @@ class FixedSetDescriptor:
 
     def contains_line(self, line: Line) -> bool:
         if self.kind == "slope-family":
-            return line.slope == self.slope
+            # line.slope == self.slope without building a Fraction: the
+            # slope of a*t + b*r = c is -a/b, and b == 0 (vertical) never
+            # matches, since a != 0 and a denominator is positive
+            num, den = self.slope.as_integer_ratio()
+            return line.b * num == -line.a * den
         if self.kind == "vertical-family":
             return line.vertical
         if self.kind == "single-point":

@@ -62,7 +62,9 @@ def line_quotient(rep: CyclicSubgroup, p: PlanePoint) -> Fraction:
     the quotient of the translations by rep shifts the value by 1.
     """
     a, b = _check_flat_rep(rep)
-    return (b * p.t - a * p.r) / 2
+    tn, td = p.t.as_integer_ratio()
+    rn, rd = p.r.as_integer_ratio()
+    return Fraction(b * tn * rd - a * rn * td, 2 * td * rd)
 
 
 def quotient_shift(rep: CyclicSubgroup, g: GroupElement) -> int:

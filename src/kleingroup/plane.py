@@ -9,11 +9,13 @@ parallel lines are each one formula on the triple.
 
 The public constructors ``PlanePoint(t, r)`` and ``Line(slope, intercept)``
 validate their inputs.  A point is built only by its constructor, which
-``act_point`` calls too (25,123 calls in a traced ``verify --suite all``,
-mostly Fraction arithmetic).  A line is normalized by one routine,
-``_set_line``: ``Line.__init__`` runs it after the checks, and
-``act_line`` runs it on a bare instance (455,352 calls), since the image
-of a line is an integer triple already.
+``act_point`` calls too (25,123 calls in a traced ``verify --suite all``),
+on coordinates it builds as one ``Fraction(numerator, denominator)``
+each.  ``Line.__init__`` normalizes its triple by ``_set_line`` after the
+checks.  ``act_line`` (455,352 calls) sets the slots of a bare instance
+without that routine: the image of a primitive triple under the
+unimodular map (a, b, c) -> (s*a, b, c + s*a*n + b*m) is primitive, so
+only the sign of a vertical line that a glide flips needs restoring.
 """
 
 from __future__ import annotations
@@ -110,14 +112,31 @@ def _set_line(line: Line, a: int, b: int, c: int) -> Line:
 
 def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
     """g.(t, r) = (g.n + (-1)**g.m * t, g.m + r)."""
-    return PlanePoint(g.n - p.t if g.m & 1 else g.n + p.t, g.m + p.r)
+    tn, td = p.t.as_integer_ratio()
+    rn, rd = p.r.as_integer_ratio()
+    return PlanePoint(Fraction(g.n * td - tn if g.m & 1 else g.n * td + tn, td),
+                      Fraction(g.m * rd + rn, rd))
 
 
 def act_line(g: GroupElement, line: Line) -> Line:
     """The image of a line: a*t + b*r = c goes to
-    s*a*t + b*r = c + s*a*g.n + b*g.m, where s = (-1)**g.m."""
-    sa = -line.a if g.m & 1 else line.a
-    return _set_line(_new(Line), sa, line.b, line.c + sa * g.n + line.b * g.m)
+    s*a*t + b*r = c + s*a*g.n + b*g.m, where s = (-1)**g.m.
+
+    The map of triples is unimodular, so the image of a primitive triple
+    is primitive; b keeps its sign, and only a vertical line flipped by a
+    glide (b == 0, s*a < 0) needs all three signs turned back.
+    """
+    a, b = line.a, line.b
+    if g.m & 1:
+        a = -a
+    c = line.c + a * g.n + b * g.m
+    if b == 0 and a < 0:
+        a, c = -a, -c
+    image = _new(Line)
+    _set_a(image, a)
+    _set_b(image, b)
+    _set_c(image, c)
+    return image
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,8 @@ def isotropy_suite(element_bound: int = 8, line_bound: int = 5) -> SuiteReport:
         "isotropy", {"element_bound": element_bound, "line_bound": line_bound}
     )
     elements = _elements(element_bound)
-    for line in line_grid(line_bound):
+    lines = line_grid(line_bound)
+    for line in lines:
         iso = isotropy_group(line)
         for g in elements:
             direct = act_line(g, line) == line
@@ -205,7 +206,7 @@ def isotropy_suite(element_bound: int = 8, line_bound: int = 5) -> SuiteReport:
                 rep.fail(f"criterion disagrees with action at g={g}, line={line}")
             if crit != member:
                 rep.fail(f"isotropy membership wrong at g={g}, line={line}")
-            rep.checks += 2
+    rep.checks += 2 * len(lines) * len(elements)
     return rep
 
 
@@ -299,13 +300,25 @@ def kn_suite(bound: int = 8) -> SuiteReport:
         if index_action(IDENTITY, n) != n:
             rep.fail(f"identity moves index {n}")
         rep.checks += 1
+    # h moves an index of [-bound, bound] into [-3*bound, 3*bound], and
+    # gh lies in the box of 2*bound, so one table per element of that box
+    # over [-3*bound, 3*bound] holds every value the law reads; entries
+    # are shifted by 3*bound, so h's entries index g's table directly
+    reach = 3 * bound
+    span = range(-reach, reach + 1)
+    tables = {(x.n, x.m): [index_action(x, k) + reach for k in span]
+              for x in _elements(2 * bound)}
+    lo, hi = reach - bound, reach + bound + 1  # the slice of the indices
     for g in elements:
+        tg = tables[g.n, g.m]
         for h in elements:
             gh = mul(g, h)
-            for n in indices:
-                if index_action(g, index_action(h, n)) != index_action(gh, n):
-                    rep.fail(f"not an action at g={g}, h={h}, n={n}")
-            rep.checks += len(range(-bound, bound + 1))
+            expected = tables[gh.n, gh.m][lo:hi]
+            actual = [tg[k] for k in tables[h.n, h.m][lo:hi]]
+            if actual != expected:
+                n = next(n for n, x, y in zip(indices, actual, expected) if x != y)
+                rep.fail(f"not an action at g={g}, h={h}, n={n}")
+    rep.checks += len(elements) ** 2 * len(indices)
     for n in indices:
         stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
         for g in elements:

@@ -92,6 +92,18 @@ def test_fixed_set_membership_is_stabilization():
             assert d.contains_line(line) == stabilizes(s.gen, line), (s, line)
 
 
+def test_slope_family_membership_is_slope_equality():
+    # contains_line cross-multiplies; it must agree with comparing the
+    # Fraction slopes, vertical lines (slope VERTICAL) included
+    lines = line_grid(4)
+    assert any(line.vertical for line in lines)
+    for s in canonical_subgroups(6):
+        d = fixed_set(s)
+        if d.kind == "slope-family":
+            for line in lines:
+                assert d.contains_line(line) == (line.slope == d.slope), (s, line)
+
+
 def test_fixed_set_of_powers_agrees():
     # squaring a translation keeps its fixed lines; the square of a glide
     # is vertical, so it fixes every vertical line, the glide's among them

@@ -210,6 +210,14 @@ REPS = st.sampled_from([subgroup(s * r.gen.n, r.gen.m)
                         for r in flat_representatives(6) for s in (1, -1)])
 
 
+@given(REPS, RATIONALS, RATIONALS)
+def test_line_quotient_matches_its_fraction_form(rep, t, r):
+    a, b = rep.gen.n, rep.gen.m
+    q = line_quotient(rep, PlanePoint(t, r))
+    assert type(q) is Fraction
+    assert q == (b * t - a * r) / 2
+
+
 def _line_through(rep, p):
     """The line through p parallel to rep's generator (a, b)."""
     slope = Fraction(rep.gen.m, rep.gen.n)

@@ -117,6 +117,31 @@ def test_line_action_examples():
         Line(Fraction(1), Fraction(2))
 
 
+glides30 = st.builds(lambda n, k: GroupElement(n, 2 * k + 1), coord30, coord30)
+verticals30 = st.builds(lambda b: Line(VERTICAL, b), rationals30)
+
+
+@given(st.one_of(elems30, glides30), st.one_of(lines30, verticals30))
+@example(GroupElement(1, 1), Line(VERTICAL, Fraction(3)))
+@example(GroupElement(-3, 1), Line(VERTICAL, Fraction(-3, 2)))
+@example(GroupElement(0, 2), Line(Fraction(1, 2), Fraction(0)))
+def test_line_action_matches_constructor_normalization(g, line):
+    # act_line skips the gcd: its image must be the line that Line builds
+    # from the unnormalized image triple.  Random pairs almost never
+    # stabilize, which matters: the isotropy suite compares a moved image
+    # only by equality, so a mis-normalized one would pass there.
+    sa = -line.a if g.m & 1 else line.a
+    c = line.c + sa * g.n + line.b * g.m
+    if line.b:
+        expected = Line(Fraction(-sa, line.b), Fraction(c, line.b))
+    else:
+        expected = Line(VERTICAL, Fraction(c, sa))
+    image = act_line(g, line)
+    assert (image.a, image.b, image.c) == (expected.a, expected.b, expected.c)
+    assert math.gcd(image.a, image.b, image.c) == 1
+    assert image.b > 0 or (image.b == 0 and image.a > 0)
+
+
 @given(elems, elems, lines)
 def test_line_action_is_action(g, h, line):
     assert act_line(g, act_line(h, line)) == act_line(mul(g, h), line)

@@ -1,10 +1,20 @@
 """The verification sweeps themselves (at reduced bounds, for speed)."""
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from kleingroup import SUITES, run_suite
+from kleingroup import (
+    SUITES,
+    FixedSetDescriptor,
+    GroupElement,
+    Line,
+    PlanePoint,
+    run_suite,
+    subgroup,
+    verify,
+)
 from kleingroup.cli import _json
 from kleingroup.verify import (
     _OPTIONS,
@@ -90,3 +100,56 @@ def test_suites_run_clean_at_tiny_bounds(fn, kwargs):
     rep = fn(**kwargs)
     assert rep.ok, rep.failures
     assert rep.checks > 0
+
+
+# One wrong value planted in a library function, by the name the suite
+# looks it up under in kleingroup.verify: the suite must report it.  A
+# suite that tabulates values or compares them in bulk must not go blind.
+PLANTED = [
+    pytest.param(
+        "index_action", (GroupElement(1, 1), 0), lambda n: n + 2,
+        kn_suite, dict(bound=3),
+        "not an action at g=GroupElement(n=-3, m=-3), h=GroupElement(n=1, m=1), n=0",
+        id="kn-action"),
+    pytest.param(
+        "act_line", (GroupElement(0, 2), Line(0, 0)), lambda image: Line(0, 0),
+        isotropy_suite, dict(element_bound=3, line_bound=1),
+        "criterion disagrees with action at g=GroupElement(n=0, m=2), "
+        "line=Line(a=0, b=1, c=0)",
+        id="isotropy"),
+    pytest.param(
+        "fixed_set", (subgroup(1, 2),),
+        lambda d: FixedSetDescriptor("slope-family", slope=Fraction(1, 2)),
+        fixed_set_suite, dict(gen_bound=2, line_bound=2),
+        "fixed-set membership wrong at CyclicSubgroup(gen=GroupElement(n=1, m=2)), "
+        "Line(a=-1, b=2, c=-4)",
+        id="fixed-set"),
+    pytest.param(
+        "act_point", (GroupElement(1, 0), PlanePoint(0, 0)),
+        lambda p: PlanePoint(p.t, p.r + 1),
+        maps_suite, dict(bound=3, rep_bound=1),
+        "axis projection not equivariant at GroupElement(n=1, m=0), "
+        "PlanePoint(t=Fraction(0, 1), r=Fraction(0, 1))",
+        id="equivariant-maps-act_point"),
+    pytest.param(
+        "line_quotient", (subgroup(1, 2), PlanePoint(-2, -2)), lambda q: q + 1,
+        maps_suite, dict(bound=3, rep_bound=1),
+        "line quotient not equivariant at rep=GroupElement(n=1, m=2), "
+        "g=GroupElement(n=-3, m=-2)",
+        id="equivariant-maps-line_quotient"),
+]
+
+
+@pytest.mark.parametrize("name, at, wrong, suite, kwargs, first", PLANTED)
+def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwargs, first):
+    assert suite(**kwargs).ok
+    real = getattr(verify, name)
+
+    def faulty(*args):
+        out = real(*args)
+        return wrong(out) if args == at else out
+
+    monkeypatch.setattr(verify, name, faulty)
+    rep = suite(**kwargs)
+    assert not rep.ok
+    assert rep.failures[0] == first
