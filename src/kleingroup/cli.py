@@ -20,7 +20,6 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 from .abelian import AbelianGroup, GradedGroups
 from .core import GroupElement, conj, inv, mul, power
@@ -58,6 +57,7 @@ from .subgroups import (
     conj_subgroup,
     contains,
     family_contains,
+    fixed_direction,
     subgroup,
 )
 from .verify import SUITES, SuiteReport, run_suite, suite_options
@@ -310,13 +310,15 @@ def _h_act_line(a):
 def _h_isotropy(a):
     line = Line(a.slope, a.intercept)
     s = isotropy_group(line)
-    if line.b == 0:
-        case = ("isotropy: vertical line, twice-intercept integral"
-                if 2 * line.c % line.a == 0
-                else "isotropy: vertical line, twice-intercept non-integral")
+    # a glide stabilizes only a vertical line through a half-integer, and
+    # the maximal translations are doubled exactly for an odd direction
+    if s.gen.m % 2:
+        case = "isotropy: vertical line, twice-intercept integral"
+    elif line.vertical:
+        case = "isotropy: vertical line, twice-intercept non-integral"
     elif line.a == 0:
         case = "isotropy: zero slope"
-    elif line.a // gcd(line.a, line.b) % 2 == 0:
+    elif (s.gen.n, s.gen.m) == fixed_direction(s):
         case = "isotropy: finite slope, even reduced numerator"
     else:
         case = "isotropy: finite slope, odd reduced numerator"

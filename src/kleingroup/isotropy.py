@@ -3,9 +3,10 @@
 Every line a*t + b*r = c has nontrivial infinite cyclic isotropy,
 generated by its primitive direction (b, -a)/gcd(a, b), doubled when
 that is a glide, unless the line is vertical and a glide flips it onto
-itself.  Dually, the fixed set of a cyclic subgroup inside the space of
-lines is a point, a family of parallel lines, or the family of vertical
-lines - never empty.
+itself.  Dually, a cyclic subgroup fixes the family of lines of its
+fixed direction (p, q) from subgroups.fixed_direction, those with
+a*p + b*q == 0, unless it is a glide, which fixes one vertical line
+alone - never the empty set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd
 
 from .core import GroupElement
 from .plane import VERTICAL, Line
-from .subgroups import CyclicSubgroup, maximal_translations, subgroup
+from .subgroups import CyclicSubgroup, fixed_direction, maximal_translations, subgroup
 
 
 def isotropy_group(line: Line) -> CyclicSubgroup:
@@ -41,54 +42,54 @@ def isotropy_group(line: Line) -> CyclicSubgroup:
 
 @dataclass(frozen=True)
 class FixedSetDescriptor:
-    """The fixed lines of a subgroup, as a symbolic set.
+    """The fixed lines of a subgroup: the lines of the primitive
+    ``direction`` (p, q), those with a*p + b*q == 0, or, for a glide, the
+    one vertical ``line`` it flips onto itself.
 
-    kind is one of "slope-family" (all lines of one finite slope),
-    "vertical-family" (all vertical lines), "single-point" (one line of
-    the line space), or "empty".
+    ``kind`` and ``slope`` are views: "single-point" for a glide,
+    "vertical-family" for (0, 1) without a line, else "slope-family" of
+    slope q/p.
     """
 
-    kind: str
-    slope: Fraction | None = None
+    direction: tuple[int, int]
     line: Line | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("slope-family", "vertical-family", "single-point", "empty"):
-            raise ValueError("unknown fixed-set kind")
-        if (self.slope is not None) != (self.kind == "slope-family"):
-            raise ValueError("slope goes exactly with slope-family")
-        if (self.line is not None) != (self.kind == "single-point"):
-            raise ValueError("line goes exactly with single-point")
+        if gcd(*self.direction) != 1 or (self.line is not None and (
+                self.direction != (0, 1) or not self.line.vertical)):
+            raise ValueError("a fixed set is a primitive direction, with a line "
+                             "only for (0, 1) and only a vertical one")
+
+    @property
+    def kind(self) -> str:
+        if self.line is not None:
+            return "single-point"
+        return "vertical-family" if self.direction == (0, 1) else "slope-family"
+
+    @property
+    def slope(self) -> Fraction | None:
+        p, q = self.direction
+        return None if p == 0 else Fraction(q, p)
 
     def contains_line(self, line: Line) -> bool:
-        if self.kind == "slope-family":
-            # line.slope == self.slope without building a Fraction: the
-            # slope of a*t + b*r = c is -a/b, and b == 0 (vertical) never
-            # matches, since a != 0 and a denominator is positive
-            num, den = self.slope.as_integer_ratio()
-            return line.b * num == -line.a * den
-        if self.kind == "vertical-family":
-            return line.vertical
-        if self.kind == "single-point":
+        if self.line is not None:
             return line == self.line
-        return False
+        p, q = self.direction
+        return line.a * p + line.b * q == 0
 
 
 def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     """The fixed lines of s (equivalently, of its generator).
 
-    >>> fixed_set(subgroup(1, 2)).slope
-    Fraction(2, 1)
+    >>> fixed_set(subgroup(-2, 4))
+    FixedSetDescriptor(direction=(-1, 2), line=None)
     >>> fixed_set(subgroup(3, 1)).line
     Line(a=2, b=0, c=3)
     """
-    n, m = s.gen.n, s.gen.m
-    if m % 2:
+    if s.gen.m % 2:
         # a glide flip fixes exactly one vertical line, through n/2
-        return FixedSetDescriptor("single-point", line=Line(VERTICAL, Fraction(n, 2)))
-    if n == 0:
-        return FixedSetDescriptor("vertical-family")
-    return FixedSetDescriptor("slope-family", slope=Fraction(m, n))
+        return FixedSetDescriptor((0, 1), Line(VERTICAL, Fraction(s.gen.n, 2)))
+    return FixedSetDescriptor(fixed_direction(s))
 
 
 def fraction_grid(bound: int) -> list[Fraction]:

@@ -177,13 +177,6 @@ class Commensurator:
         if self.kind not in ("whole-group", "translation-subgroup"):
             raise ValueError("unknown commensurator kind")
 
-    def contains(self, g: GroupElement) -> bool:
-        if self.kind == "whole-group":
-            return True
-        # {(t1, 2*t2)}: exactly the elements acting on the plane by
-        # honest translations
-        return g.m % 2 == 0
-
 
 WHOLE_GROUP = Commensurator("whole-group")
 TRANSLATIONS = Commensurator("translation-subgroup")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from kleingroup import (
     FixedSetDescriptor,
@@ -118,14 +120,34 @@ def test_fixed_set_of_powers_agrees():
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        FixedSetDescriptor("nope")
-    with pytest.raises(ValueError):
-        FixedSetDescriptor("slope-family")
-    with pytest.raises(ValueError):
-        FixedSetDescriptor("vertical-family", slope=Fraction(1))
-    with pytest.raises(ValueError):
-        FixedSetDescriptor("single-point")
+    # a primitive direction, with a line only for (0, 1) and only a vertical one
+    for bad in [((2, 4),), ((0, 0),), ((0, 2),),
+                ((1, 2), Line(VERTICAL, 0)), ((0, 1), Line(0, 0))]:
+        with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
+            FixedSetDescriptor(*bad)
+
+
+BIG = 10**30
+big_coords = st.integers(-BIG, BIG)
+big_rationals = st.builds(Fraction, big_coords, st.integers(1, BIG))
+
+
+@given(big_coords, big_coords, big_rationals,
+       st.one_of(st.just(VERTICAL), big_rationals), big_rationals)
+@example(0, 1, Fraction(3, 2), VERTICAL, Fraction(5))
+@example(BIG, 0, Fraction(-1, 7), Fraction(0), Fraction(1, 3))
+@example(-BIG, BIG, Fraction(BIG, 3), VERTICAL, Fraction(0))
+def test_translation_fixed_set_membership_at_scale(n, k, at, slope, intercept):
+    # the translation (n, 2k) fixes the lines parallel to it, vertical
+    # ones when n == 0, and no other line; its slope comes from the
+    # generator, not from fixed_direction
+    assume(n or k)
+    s = subgroup(n, 2 * k)
+    d = fixed_set(s)
+    parallel = Line(VERTICAL if n == 0 else Fraction(2 * k, n), at)
+    assert d.contains_line(parallel) and stabilizes(s.gen, parallel)
+    line = Line(slope, intercept)
+    assert d.contains_line(line) == stabilizes(s.gen, line) == (line.slope == parallel.slope)
 
 
 def test_verify_i_complex_passes():

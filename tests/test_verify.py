@@ -1,7 +1,6 @@
 """The verification sweeps themselves (at reduced bounds, for speed)."""
 
 import inspect
-from fractions import Fraction
 
 import pytest
 
@@ -119,11 +118,17 @@ PLANTED = [
         id="isotropy"),
     pytest.param(
         "fixed_set", (subgroup(1, 2),),
-        lambda d: FixedSetDescriptor("slope-family", slope=Fraction(1, 2)),
+        lambda d: FixedSetDescriptor((2, 1)),
         fixed_set_suite, dict(gen_bound=2, line_bound=2),
         "fixed-set membership wrong at CyclicSubgroup(gen=GroupElement(n=1, m=2)), "
         "Line(a=-1, b=2, c=-4)",
         id="fixed-set"),
+    pytest.param(
+        "fixed_set", (subgroup(1, 2),), lambda d: FixedSetDescriptor((2, 1)),
+        i_complex_suite, dict(bound=2),
+        "claimed fixed line Line(a=-1, b=2, c=0) not fixed for "
+        "CyclicSubgroup(gen=GroupElement(n=1, m=2))",
+        id="i-complex"),
     pytest.param(
         "act_point", (GroupElement(1, 0), PlanePoint(0, 0)),
         lambda p: PlanePoint(p.t, p.r + 1),
