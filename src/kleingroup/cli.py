@@ -9,6 +9,9 @@ JSON (sorted keys, compact separators), which is byte-deterministic.
 Exit codes: 0 on success, 1 on a precondition violation (the violated
 precondition is named on stderr) or a failed verification sweep, 2 on
 a parse error.
+
+An argv naming a subcommand first is read by that subcommand's parser alone,
+the one call the top-level parser would make, so no message or exit code changes.
 """
 
 from __future__ import annotations
@@ -505,8 +508,15 @@ def _preprocess(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(_preprocess(argv))
+    """Run one call; the top-level parser reads an argv that names no subcommand first."""
+    argv = _preprocess(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _SUBCOMMANDS.choices:
+        args, extra = _SUBCOMMANDS.choices[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
+    else:
+        args = _PARSER.parse_args(argv)
     ok = True
     try:
         for inputs, result, provenance in args.handler(args):

@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from kleingroup import cli
 from kleingroup.cli import EXPONENT_CAP, main
 
 
@@ -124,6 +126,44 @@ def test_parse_error_exits_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+# arguments a subcommand rejects, leftover tokens, "--", then the argvs
+# that go through the top-level parser, then every subcommand's help
+PARITY_ARGVS = [
+    ["mul", "1", "2", "3"], ["pow", "1", "2", "x"], ["isotropy", "1..2", "0"],
+    ["mul", "1", "2", "3", "4", "5"], ["mul", "1", "2", "3", "4", "-x"],
+    ["mul", "1", "1", "1", "1", "--max-denominator", "3"], ["homology", "--seed", "9"],
+    ["verify", "--suite", "nope"], ["mul", "1", "2", "3", "4", "--out"],
+    ["pow", "2", "2", "--", "-3"], ["mul", "1", "2", "3", "4", "--"],
+    ["nonsense"], [], ["--json"], ["-h"],
+] + [[name, "-h"] for name in sorted(cli._SUBCOMMANDS.choices)]
+
+
+def outcome(call, capsys):
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = exc
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_main_parses_as_the_top_level_parser(argv, monkeypatch, capsys):
+    # the live parser is the reference: usage lines wrap differently across
+    # Python versions
+    expected, out, err = outcome(lambda: cli._PARSER.parse_args(cli._preprocess(argv)),
+                                 capsys)
+    if isinstance(expected, argparse.Namespace):
+        parsed = []
+        monkeypatch.setattr(cli, "_emit", lambda args, *record: parsed.append(args))
+        assert main(argv) == 0
+        assert parsed == [expected]
+    else:
+        got, got_out, got_err = outcome(lambda: main(argv), capsys)
+        assert isinstance(got, SystemExit)
+        assert (got.code, got_out, got_err) == (expected.code, out, err)
 
 
 def test_huge_decimal_exponent_exits_2(capsys):

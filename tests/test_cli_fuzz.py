@@ -54,6 +54,8 @@ def argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(argvs())
+# a leftover token, which the top-level parser's error reports
+@example(["mul", "1", "2", "3", "4", "5"])
 def test_cli_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

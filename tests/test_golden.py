@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from kleingroup import cli
 from kleingroup.cli import main
 
 CASES_PATH = pathlib.Path(__file__).parent / "golden" / "cases.json"
@@ -32,6 +33,18 @@ def test_golden_text(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == case["text"], f"text drift in {name}"
+
+
+def test_well_formed_calls_skip_the_top_level_parser(monkeypatch, capsys):
+    # each call is parsed once, by its subcommand's parser alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    for name, case in sorted(CASES.items()):
+        for flags, key in ((["--json"], "stdout"), ([], "text")):
+            assert main(case["argv"] + flags) == 0, name
+            assert capsys.readouterr().out == case[key], f"{key} drift in {name}"
 
 
 def test_manifest_covers_every_subcommand_with_output_examples():
