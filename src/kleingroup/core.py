@@ -12,9 +12,14 @@ validate their fields.  The operations build their results unchecked, by
 setting the slots of a bare instance in their own body, since fields
 computed from checked ones need no check and a helper would cost a
 Python frame per result: ``mul``, ``inv``, ``conj`` and ``power``
-(1,233,392 results in a traced ``verify --suite all``, 945,606 of them
-from ``mul``), and ``as_affine`` and ``AffineMap.compose`` (389,403
+(1,231,183 results in a traced ``verify --suite all``, 943,397 of them
+from ``mul``), and ``as_affine`` and ``AffineMap.compose`` (196,603
 results).  ``power`` checks its exponent first.
+
+``GroupElement`` and ``AffineMap`` compare field by field in their own
+``__eq__``, which the sweeps call hundreds of thousands of times; the
+generated method would build two tuples per comparison.  Any other
+class compares unequal, and the hash is still that of the field tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ class GroupElement:
         # exact type: bool is an int subclass but not a coordinate
         if type(self.n) is not int or type(self.m) is not int:
             raise TypeError("coordinates must be integers")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return mul(self, other)
@@ -130,6 +140,12 @@ class AffineMap:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sign == other.sign and self.shift_x == other.shift_x
+                and self.shift_y == other.shift_y)
 
     def apply(self, t: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
         return (self.shift_x + self.sign * t, self.shift_y + r)

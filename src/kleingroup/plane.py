@@ -16,6 +16,8 @@ checks.  ``act_line`` (455,352 calls) sets the slots of a bare instance
 without that routine: the image of a primitive triple under the
 unimodular map (a, b, c) -> (s*a, b, c + s*a*n + b*m) is primitive, so
 only the sign of a vertical line that a glide flips needs restoring.
+``Line`` compares its triples field by field in its own ``__eq__``, as
+``GroupElement`` does, and hashes the triple.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class Line:
             # r = p*t + q, cleared of both denominators
             _set_line(self, -p.numerator * q.denominator, p.denominator * q.denominator,
                       q.numerator * p.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
 
     @property
     def vertical(self) -> bool:

@@ -107,6 +107,8 @@ def record_ok(line: str) -> bool:
 @given(verify_argvs())
 # a negative bound that reached group-law would raise IndexError
 @example(["verify", "--suite", "group-law", "--bound", "-1"])
+# one index: kn-action's gather returns the bare entry, not a 1-tuple
+@example(["verify", "--suite", "kn-action", "--bound", "0"])
 def test_verify_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

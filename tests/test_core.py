@@ -201,3 +201,42 @@ def test_operation_results_are_public_values(same_value, g, h, x):
 def test_affine_sign_validation():
     with pytest.raises(ValueError):
         AffineMap(2, 0, 0)
+
+
+# equality, written field by field, must agree with comparing the tuples
+# of fields, and the hash must be that of the tuple
+tiny = st.integers(-2, 2)
+shifts = st.one_of(tiny, st.builds(Fraction, tiny, st.integers(1, 2)))
+affine_maps = st.builds(AffineMap, st.sampled_from([1, -1]), shifts, shifts)
+
+
+def _fields(x):
+    return tuple(getattr(x, f) for f in type(x).__slots__)
+
+
+@given(st.one_of(st.tuples(st.builds(GroupElement, tiny, tiny),
+                           st.builds(GroupElement, tiny, tiny)),
+                 st.tuples(affine_maps, affine_maps)))
+def test_equality_is_equality_of_field_tuples(pair):
+    x, y = pair
+    same = _fields(x) == _fields(y)
+    assert (x == y) is same and (y == x) is same
+    assert (x != y) is (not same)
+    assert hash(x) == hash(_fields(x))
+    if same:
+        assert hash(x) == hash(y)
+
+
+def test_values_differ_from_tuples_and_other_classes():
+    g, a = GroupElement(1, 2), AffineMap(1, 1, 2)
+    for x, fields in ((g, (1, 2)), (a, (1, 1, 2))):
+        assert x != fields and fields != x
+        assert x.__eq__(fields) is NotImplemented
+    assert g != a and a != g
+    assert g != as_affine(g) and g.__eq__(as_affine(g)) is NotImplemented
+
+
+def test_affine_shifts_compare_as_numbers():
+    a, b = AffineMap(1, Fraction(2), 0), AffineMap(1, 2, 0)
+    assert a == b and hash(a) == hash(b)
+    assert AffineMap(-1, Fraction(1, 2), 0) != AffineMap(-1, 0, 0)

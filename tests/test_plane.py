@@ -142,6 +142,22 @@ def test_line_action_matches_constructor_normalization(g, line):
     assert image.b > 0 or (image.b == 0 and image.a > 0)
 
 
+@given(st.builds(act_line, elems, lines), st.one_of(lines, st.builds(act_line, elems, lines)))
+@example(act_line(GroupElement(1, 1), Line(VERTICAL, 0)), Line(VERTICAL, 0))
+@example(act_line(GroupElement(1, 0), Line(0, 1)), Line(0, 1))
+def test_lines_are_equal_exactly_when_their_triples_are(built, other):
+    # equality, written field by field, must agree with comparing the
+    # triples, and the hash must be that of the triple
+    same = (built.a, built.b, built.c) == (other.a, other.b, other.c)
+    assert (built == other) is same and (other == built) is same
+    assert (built != other) is (not same)
+    assert hash(built) == hash((built.a, built.b, built.c))
+    if same:
+        assert hash(built) == hash(other)
+    assert built != (built.a, built.b, built.c)
+    assert built.__eq__(PlanePoint(built.a, built.b)) is NotImplemented
+
+
 @given(elems, elems, lines)
 def test_line_action_is_action(g, h, line):
     assert act_line(g, act_line(h, line)) == act_line(mul(g, h), line)

@@ -1,15 +1,18 @@
 """The verification sweeps themselves (at reduced bounds, for speed)."""
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
 from kleingroup import (
     SUITES,
+    AffineMap,
     FixedSetDescriptor,
     GroupElement,
     Line,
     PlanePoint,
+    isotropy_group,
     run_suite,
     subgroup,
     verify,
@@ -142,6 +145,46 @@ PLANTED = [
         "line quotient not equivariant at rep=GroupElement(n=1, m=2), "
         "g=GroupElement(n=-3, m=-2)",
         id="equivariant-maps-line_quotient"),
+    pytest.param(
+        "contains", (isotropy_group(Line(0, 0)), GroupElement(2, 0)), lambda b: not b,
+        isotropy_suite, dict(element_bound=3, line_bound=1),
+        "isotropy membership wrong at g=GroupElement(n=2, m=0), "
+        "line=Line(a=0, b=1, c=-1)",
+        id="isotropy-contains"),
+    # (4, 1) lies outside the box of 3: only a product reaches it
+    pytest.param(
+        "as_affine", (GroupElement(4, 1),),
+        lambda a: AffineMap(a.sign, a.shift_x + 1, a.shift_y),
+        representation_suite, dict(bound=3),
+        "not a homomorphism at GroupElement(n=1, m=-2), GroupElement(n=3, m=3)",
+        id="representation"),
+    pytest.param(
+        "axis_projection", (PlanePoint(Fraction(1, 2), 1),), lambda r: r + 1,
+        maps_suite, dict(bound=3, rep_bound=1),
+        "axis projection not equivariant at GroupElement(n=-3, m=-3), "
+        "PlanePoint(t=Fraction(1, 2), r=Fraction(1, 1))",
+        id="equivariant-maps-axis_projection"),
+    pytest.param(
+        "conj", (GroupElement(1, 1), GroupElement(0, 1)),
+        lambda c: GroupElement(c.n + 1, c.m),
+        group_law_suite, dict(bound=2, samples=50),
+        "conjugation closed form fails at t=GroupElement(n=1, m=1), "
+        "g=GroupElement(n=0, m=1)",
+        id="group-law"),
+    # a wrong product outside the box of 2*bound misses the tables: the
+    # suites must still report it, not raise KeyError
+    pytest.param(
+        "mul", (GroupElement(1, 1), GroupElement(1, 1)),
+        lambda p: GroupElement(p.n + 100, p.m),
+        representation_suite, dict(bound=2),
+        "not a homomorphism at GroupElement(n=1, m=1), GroupElement(n=1, m=1)",
+        id="representation-mul"),
+    pytest.param(
+        "mul", (GroupElement(1, 1), GroupElement(1, 1)),
+        lambda p: GroupElement(p.n + 100, p.m),
+        kn_suite, dict(bound=2),
+        "not an action at g=GroupElement(n=1, m=1), h=GroupElement(n=1, m=1), n=-2",
+        id="kn-action-mul"),
 ]
 
 
