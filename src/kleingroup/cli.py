@@ -28,15 +28,7 @@ from .abelian import AbelianGroup, GradedGroups
 from .core import GroupElement, conj, inv, mul, power
 from .homology import kunneth_join, kunneth_product, model_homology, simplicial_homology
 from .isotropy import FixedSetDescriptor, fixed_set, isotropy_group
-from .models import (
-    ModelDescriptor,
-    ModelPiece,
-    axis_projection,
-    index_action,
-    line_quotient,
-    pushout_report,
-    shift_action,
-)
+from .models import ModelDescriptor, ModelPiece, piece_action, piece_coordinate, pushout_report
 from .plane import (
     Line,
     LineDistance,
@@ -61,6 +53,7 @@ from .subgroups import (
     contains,
     family_contains,
     fixed_direction,
+    maximal_translations,
     subgroup,
 )
 from .verify import SUITES, SuiteReport, run_suite, suite_options
@@ -421,28 +414,33 @@ def _h_is_axis(a):
 @_command("kn-act", "index action on the odd family", "t1 t2 index")
 def _h_kn_act(a):
     g = GroupElement(a.t1, a.t2)
-    yield ({"element": g, "index": a.index}, {"index": index_action(g, a.index)},
+    yield ({"element": g, "index": a.index}, {"index": piece_action((0, 1), g, a.index)},
            "index action on the odd family")
 
 
 @_command("map-p", "projection to the vertical axis", "t:rational r:rational")
 def _h_map_p(a):
     p = PlanePoint(a.t, a.r)
-    yield {"point": p}, {"value": axis_projection(p)}, "projection to the vertical axis"
+    yield {"point": p}, {"value": piece_coordinate((1, 0), p)}, "projection to the vertical axis"
 
 
 @_command("map-f", "line quotient functional of a flat representative",
           "a b t:rational r:rational")
 def _h_map_f(a):
     rep, p = subgroup(a.a, a.b), PlanePoint(a.t, a.r)
-    yield ({"representative": rep.gen, "point": p}, {"value": line_quotient(rep, p)},
+    # keyed by the fixed direction, not by the class key, which drops p's
+    # sign; a flat representative is the maximal translations along it
+    d = fixed_direction(rep)
+    if 0 in d or rep != maximal_translations(*d):
+        raise ValueError("flat representative must have reduced form (n, 2m) with n, m nonzero")
+    yield ({"representative": rep.gen, "point": p}, {"value": piece_coordinate(d, p)},
            "line quotient functional, unit-shift normalized")
 
 
 @_command("shift-act", "shift action on the horizontal piece", "n m x:rational")
 def _h_shift_act(a):
     g = GroupElement(a.n, a.m)
-    yield ({"element": g, "value": a.x}, {"value": shift_action(g, a.x)},
+    yield ({"element": g, "value": a.x}, {"value": piece_action((1, 0), g, a.x)},
            "shift action on the horizontal piece")
 
 

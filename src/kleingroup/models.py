@@ -1,10 +1,13 @@
 """Symbolic assembly of the pushout classifying-space model.
 
 The pushout model glues, over the plane, one piece per commensurability
-class: a line for the horizontal class, a join with an integer family
-for the odd/vertical class, and one quotient line per flat class.  The
-piece actions and the maps that do the gluing are exact and are exposed
-here so their equivariance can be checked by sweep.
+class: the lines q*t - p*r = const of the class's fixed direction (p, q),
+read by the one coordinate unit * (q*t - p*r).  The unit comes from the
+direction: -1 for (1, 0), so H reads r; 2 for (0, 1), so K reads the
+index n of the vertical line t = n/2, whose isotropy group is <(n, 1)>;
+(1 + q mod 2)/2 for a flat direction, so translations shift it by whole
+units.  The coordinate and the action on it are exact, and are exposed
+so their equivariance can be checked by sweep.
 """
 
 from __future__ import annotations
@@ -26,59 +29,40 @@ from .subgroups import (
 )
 
 
-def index_action(g: GroupElement, n: int) -> int:
-    """The permutation action on the integer family indexing the odd
-    maximal subgroups <(n, 1)>: g moves index n to (-1)**g.m * n + 2*g.n.
-    Index n is the vertical line t = n/2, so its stabilizer is that
-    line's isotropy group <(n, 1)>."""
-    return (-n if g.m & 1 else n) + 2 * g.n
+# The unit of a piece's coordinate, doubled to an int and keyed by the
+# direction: -1 for (1, 0), 2 for (0, 1), else (1 + q mod 2)/2.
+_TWICE_UNIT = {(1, 0): -2, (0, 1): 4}
 
 
-def axis_projection(p: PlanePoint) -> Fraction:
-    """Project the plane onto the vertical axis; intertwines the plane
-    action with the shift action on the line."""
-    return p.r
+def piece_coordinate(d: tuple[int, int], x: PlanePoint) -> Fraction:
+    """The coordinate unit * (q*t - p*r) of the line of direction d = (p, q)
+    through x: constant exactly on that line.
 
-
-def shift_action(g: GroupElement, x: Fraction) -> Fraction:
-    """The action on the horizontal piece's line: shift by g.m."""
-    return g.m + x
-
-
-def _check_flat_rep(rep: CyclicSubgroup) -> tuple[int, int]:
-    a, b = rep.gen.n, rep.gen.m
-    if b == 0 or b % 2 or a == 0 or gcd(abs(a), b // 2) != 1:
-        raise ValueError(
-            "flat representative must have reduced form (n, 2m) with n, m nonzero"
-        )
-    return a, b
-
-
-def line_quotient(rep: CyclicSubgroup, p: PlanePoint) -> Fraction:
-    """Quotient of the plane by the line through rep's generator.
-
-    The value (b*t - a*r)/2 vanishes exactly on that line, and the scale
-    1/2 makes the translation subgroup hit every integer: a generator of
-    the quotient of the translations by rep shifts the value by 1.
+    >>> [piece_coordinate(d, PlanePoint(3, 5)) for d in [(1, 0), (0, 1), (-1, 2)]]
+    [Fraction(5, 1), Fraction(6, 1), Fraction(11, 2)]
     """
-    a, b = _check_flat_rep(rep)
-    tn, td = p.t.as_integer_ratio()
-    rn, rd = p.r.as_integer_ratio()
-    return Fraction(b * tn * rd - a * rn * td, 2 * td * rd)
+    p, q = d
+    tn, td = x.t.as_integer_ratio()
+    rn, rd = x.r.as_integer_ratio()
+    return Fraction(_TWICE_UNIT.get(d, 1 + q % 2) * (q * tn * rd - p * rn * td),
+                    2 * td * rd)
 
 
-def quotient_shift(rep: CyclicSubgroup, g: GroupElement) -> int:
-    """The integer by which a translation g shifts the quotient line.
+def piece_action(d: tuple[int, int], g: GroupElement, c):
+    """The action c -> +-c + unit * (q*g.n - p*g.m) of g on the coordinate of
+    direction d = (p, q), with the sign flipped for a glide exactly when
+    p = 0; an int c stays an int.  A glide mirrors a flat direction to
+    (-p, q), so it does not act on a flat piece.
 
-    This is the quotient homomorphism of the translation subgroup by
-    rep; it rejects glides (odd g.m), which act with a reflection.
+    >>> [piece_action(d, GroupElement(2, 1), 5) for d in [(1, 0), (0, 1)]]
+    [6, -1]
     """
-    a, b = _check_flat_rep(rep)
-    if g.m % 2:
-        raise ValueError("quotient shift defined on the translation subgroup only")
-    val = b * g.n - a * g.m
-    assert val % 2 == 0
-    return val // 2
+    p, q = d
+    glide = g.m & 1
+    if glide and p and q:
+        raise ValueError("a glide mirrors a flat piece; only translations act on it")
+    return (-c if glide and not p else c) + \
+        _TWICE_UNIT.get(d, 1 + q % 2) * (q * g.n - p * g.m) // 2
 
 
 def flat_representatives(bound: int) -> list[CyclicSubgroup]:
@@ -97,11 +81,26 @@ def flat_representatives(bound: int) -> list[CyclicSubgroup]:
 
 @dataclass(frozen=True)
 class ModelPiece:
-    label: str
-    space: str
+    """The piece of one class; its text, commensurator and family are
+    views of the class, so no piece can disagree with it."""
+
     cls: CommClass
-    commensurator: Commensurator
-    family: SubgroupFamily
+
+    @property
+    def label(self) -> str:
+        return _PIECE_TEXT[self.cls.tag][0].format(c=self.cls)
+
+    @property
+    def space(self) -> str:
+        return _PIECE_TEXT[self.cls.tag][1]
+
+    @property
+    def commensurator(self) -> Commensurator:
+        return commensurator(self.cls)
+
+    @property
+    def family(self) -> SubgroupFamily:
+        return class_family(self.cls)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,10 @@ class ModelDescriptor:
 PUSHOUT_CAP = 128
 
 # Per class tag: the piece's label (formatted with its class c), its
-# space, and the identification that glues it to the plane.
+# space, and the identification that glues it to the plane.  These name
+# axis_projection and line_quotient, the former piece_coordinate at H and
+# R, as the golden pushout-report-bound-3 case freezes them; they are to
+# be regenerated when the odd-vertical piece is rebuilt as a tree.
 _PIECE_TEXT = {
     "H": ("horizontal", "real line with the shift action x -> g.m + x",
           "plane point x ~ axis_projection(x) in the horizontal piece"),
@@ -146,13 +148,8 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
         raise ValueError(f"orbit_bound capped at {PUSHOUT_CAP}")
     classes = [CommClass((1, 0)), CommClass((0, 1))]
     classes += [comm_class(rep) for rep in flat_representatives(orbit_bound)]
-    pieces = []
-    for c in classes:
-        label, space, _ = _PIECE_TEXT[c.tag]
-        pieces.append(ModelPiece(label.format(c=c), space, c,
-                                 commensurator(c), class_family(c)))
     return ModelDescriptor(
-        pieces=tuple(pieces),
+        pieces=tuple(ModelPiece(c) for c in classes),
         identifications=tuple(glue for _, _, glue in _PIECE_TEXT.values()),
     )
 
@@ -160,11 +157,8 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
 __all__ = [
     "ModelPiece",
     "ModelDescriptor",
-    "index_action",
-    "axis_projection",
-    "shift_action",
-    "line_quotient",
-    "quotient_shift",
+    "piece_coordinate",
+    "piece_action",
     "flat_representatives",
     "pushout_report",
     "PUSHOUT_CAP",

@@ -64,8 +64,8 @@ class IntMatrix:
 
     @property
     def data(self) -> list[list[int]]:
-        """A fresh dense copy of the entries: a read-only view, whose only
-        reader is the benchmark's observers."""
+        """A fresh dense copy of the entries: a read-only view, read by
+        the benchmark's observers and by tests that compare dense tables."""
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, r in self.rows.items():
             for j, v in r.items():

@@ -27,14 +27,7 @@ from .core import (
     power,
 )
 from .isotropy import canonical_subgroups, fixed_set, fraction_grid, isotropy_group, line_grid
-from .models import (
-    flat_representatives,
-    index_action,
-    axis_projection,
-    line_quotient,
-    quotient_shift,
-    shift_action,
-)
+from .models import flat_representatives, piece_action, piece_coordinate
 from .plane import VERTICAL, Line, PlanePoint, act_line, act_point, stabilizes
 from .subgroups import (
     CyclicSubgroup,
@@ -43,6 +36,7 @@ from .subgroups import (
     commensurable,
     conj_subgroup,
     contains,
+    fixed_direction,
     maximal_containing,
     powers,
 )
@@ -309,14 +303,16 @@ def commensurability_suite(bound: int = 10) -> SuiteReport:
 
 
 def kn_suite(bound: int = 8) -> SuiteReport:
-    """The index action is an action, and the stabilizer of index n is
-    the isotropy group of the vertical line t = n/2, the odd maximal
-    subgroup <(n, 1)>, which isotropy_group computes by its own route."""
+    """The action on the odd/vertical piece is an action, and the
+    stabilizer of its coordinate n, the index of the vertical line
+    t = n/2, is that line's isotropy group, the odd maximal subgroup
+    <(n, 1)>, which isotropy_group computes by its own route."""
     rep = SuiteReport("kn-action", {"bound": bound})
     elements = _elements(bound)
     indices = range(-bound, bound + 1)
+    odd = (0, 1)
     for n in indices:
-        if index_action(IDENTITY, n) != n:
+        if piece_action(odd, IDENTITY, n) != n:
             rep.fail(f"identity moves index {n}")
         rep.checks += 1
     # h moves an index of [-bound, bound] into [-3*bound, 3*bound], so each
@@ -328,9 +324,9 @@ def kn_suite(bound: int = 8) -> SuiteReport:
     # outside the box, which only a wrong mul gives, is computed directly
     reach = 3 * bound
     span = range(-reach, reach + 1)
-    rows = [[index_action(g, k) + reach for k in span] for g in elements]
+    rows = [[piece_action(odd, g, i) + reach for i in span] for g in elements]
     cut = itemgetter(*range(len(indices)))
-    expected = {(x.n, x.m): cut([index_action(x, n) + reach for n in indices])
+    expected = {(x.n, x.m): cut([piece_action(odd, x, n) + reach for n in indices])
                 for x in _elements(2 * bound)}
     gathers = [itemgetter(*row[reach - bound:reach + bound + 1]) for row in rows]
     for g, tg in zip(elements, rows):
@@ -338,59 +334,60 @@ def kn_suite(bound: int = 8) -> SuiteReport:
             gh = mul(g, h)
             want = expected.get((gh.n, gh.m))
             if want is None:
-                want = cut([index_action(gh, n) + reach for n in indices])
+                want = cut([piece_action(odd, gh, n) + reach for n in indices])
             if gather(tg) != want:
                 n = next(n for n in indices
-                         if tg[th[n + reach]] != index_action(gh, n) + reach)
+                         if tg[th[n + reach]] != piece_action(odd, gh, n) + reach)
                 rep.fail(f"not an action at g={g}, h={h}, n={n}")
     rep.checks += len(elements) ** 2 * len(indices)
     for n in indices:
         stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
         for g in elements:
-            if (index_action(g, n) == n) != contains(stab, g):
+            if (piece_action(odd, g, n) == n) != contains(stab, g):
                 rep.fail(f"stabilizer wrong at g={g}, n={n}")
             rep.checks += 1
     return rep
 
 
 def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
-    """Equivariance of the gluing maps: the axis projection intertwines
-    the plane action with the shift action for every element, and each
-    line quotient is translation-equivariant with kernel exactly its
-    representative subgroup.
+    """Equivariance of the piece coordinates: the horizontal piece's
+    coordinate intertwines the plane action with the piece action for
+    every element, and each flat piece's coordinate does so for every
+    translation, which shifts it by 0 exactly on the representative.
 
-    Both maps are pure, so the values at the fixed points are computed
-    once and reused: the projection of each grid point for every element,
-    and each representative's quotient of the 9 base points for every
-    translation.  The images act_point(g, x) are still mapped per pair."""
+    Both functions are pure, so the coordinates at the fixed points are
+    computed once and reused: of each grid point on the horizontal piece,
+    and of the 9 base points on each flat piece.  The images
+    act_point(g, x) are still mapped per pair."""
     rep = SuiteReport("equivariant-maps", {"bound": bound, "rep_bound": rep_bound})
     elements = _elements(bound)
     grid = fraction_grid(2)
     pts = [PlanePoint(t, r) for t in grid for r in grid]
-    projected = [axis_projection(x) for x in pts]
+    horizontal = (1, 0)
+    coords = [piece_coordinate(horizontal, x) for x in pts]
     for g in elements:
-        for x, p in zip(pts, projected):
-            if axis_projection(act_point(g, x)) != shift_action(g, p):
+        for x, c in zip(pts, coords):
+            if piece_coordinate(horizontal, act_point(g, x)) != piece_action(horizontal, g, c):
                 rep.fail(f"axis projection not equivariant at {g}, {x}")
             rep.checks += 1
     translations = [g for g in elements if g.m % 2 == 0]
     base = pts[:9]
     for r in flat_representatives(rep_bound):
-        quotients = [line_quotient(r, x) for x in base]
+        d = fixed_direction(r)
+        coords = [piece_coordinate(d, x) for x in base]
         for g in translations:
-            shift = quotient_shift(r, g)
             rep.checks += 2
-            if (shift == 0) != contains(r, g):
+            if (piece_action(d, g, 0) == 0) != contains(r, g):
                 rep.fail(f"quotient kernel wrong at rep={r.gen}, g={g}")
-            for x, q in zip(base, quotients):
-                if line_quotient(r, act_point(g, x)) != shift + q:
+            for x, c in zip(base, coords):
+                if piece_coordinate(d, act_point(g, x)) != piece_action(d, g, c):
                     rep.fail(f"line quotient not equivariant at rep={r.gen}, g={g}")
                 rep.checks += 1
-        # the translation (x, 2y) with k*x - a*y = 1 shifts <(a, 2k)>'s quotient
+        # the translation (x, 2y) with k*x - a*y = 1 shifts <(a, 2k)>'s piece
         # by 1; unlike a grid search, this witness exists at every --bound
         a, k = r.gen.n, r.gen.m // 2
         x = pow(k, -1, a)
-        if quotient_shift(r, GroupElement(x, 2 * ((k * x - 1) // a))) != 1:
+        if piece_action(d, GroupElement(x, 2 * ((k * x - 1) // a)), 0) != 1:
             rep.fail(f"quotient by {r.gen} misses the unit shift")
     return rep
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +111,17 @@ def test_quotient_rejection_exits_1(capsys):
     code, _, err = run_cli(["map-f", "2", "4", "0", "0"], capsys)
     assert code == 1
     assert "reduced form" in err
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (-1, 2), (2, 2), (-2, 2), (3, -4), (-3, -4)])
+def test_map_f_reads_the_signed_representative(a, b, capsys):
+    # the functional (b*t - a*r)/2 of the canonical generator (a, b) > 0: a
+    # representative and its mirror (-a, b), one class, are read apart
+    n, m = (-a, -b) if b < 0 else (a, b)
+    for t, r in [(0, 2), (Fraction(1, 3), Fraction(-5, 7)), (10**30, -(10**30) + 1)]:
+        code, out, _ = run_cli(["map-f", str(a), str(b), str(t), str(r), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == cli._fmt_q((m * t - n * r) / Fraction(2))
 
 
 def test_parse_error_exits_2():

@@ -14,9 +14,9 @@ from kleingroup import (
     IDENTITY,
     as_affine,
     conj,
-    index_action,
     inv,
     mul,
+    piece_action,
     power,
 )
 
@@ -155,7 +155,7 @@ def test_parity_branches_match_power_closed_forms(g, h, n):
     assert inv(g) == GroupElement((-1) ** ((1 - g.m) % 2) * g.n, -g.m)
     assert conj(g, h) == GroupElement(sign(g.m) * h.n + g.n - sign(h.m) * g.n, h.m)
     assert as_affine(g) == AffineMap(sign(g.m), g.n, g.m)
-    assert index_action(g, n) == sign(g.m) * n + 2 * g.n
+    assert piece_action((0, 1), g, n) == sign(g.m) * n + 2 * g.n
 
 
 def test_subgroup_of_translations_is_abelian():

@@ -16,31 +16,31 @@ from kleingroup import (
     VERTICAL,
     act_line,
     act_point,
-    axis_projection,
     class_family,
     commensurator,
     conj_subgroup,
     contains,
+    fixed_direction,
     flat_representatives,
-    index_action,
     inv,
     isotropy_group,
-    line_quotient,
     mul,
+    piece_action,
+    piece_coordinate,
     pushout_report,
-    quotient_shift,
-    shift_action,
     subgroup,
 )
+from kleingroup.cli import main
 
 ELEMS = [GroupElement(n, m) for n in range(-6, 7) for m in range(-6, 7)]
+H, K = (1, 0), (0, 1)
 
 
 def test_index_action_examples():
-    assert index_action(GroupElement(2, 1), 5) == -1
-    assert index_action(GroupElement(1, 0), 0) == 2
-    assert index_action(GroupElement(0, 2), 7) == 7
-    assert index_action(IDENTITY, 3) == 3
+    assert piece_action(K, GroupElement(2, 1), 5) == -1
+    assert piece_action(K, GroupElement(1, 0), 0) == 2
+    assert piece_action(K, GroupElement(0, 2), 7) == 7
+    assert piece_action(K, IDENTITY, 3) == 3
 
 
 def test_index_action_is_action():
@@ -48,15 +48,15 @@ def test_index_action_is_action():
         for h in ELEMS[:60]:
             gh = mul(g, h)
             for n in (-3, 0, 4):
-                assert index_action(g, index_action(h, n)) == index_action(gh, n)
+                assert piece_action(K, g, piece_action(K, h, n)) == piece_action(K, gh, n)
 
 
 def test_index_action_is_by_bijections():
     for g in ELEMS:
-        imgs = {index_action(g, n) for n in range(-8, 9)}
+        imgs = {piece_action(K, g, n) for n in range(-8, 9)}
         assert len(imgs) == 17
         for n in range(-8, 9):
-            assert index_action(inv(g), index_action(g, n)) == n
+            assert piece_action(K, inv(g), piece_action(K, g, n)) == n
 
 
 def test_index_stabilizer():
@@ -65,14 +65,14 @@ def test_index_stabilizer():
         stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
         assert stab == subgroup(n, 1)
         for g in ELEMS:
-            assert (index_action(g, n) == n) == contains(stab, g), (g, n)
+            assert (piece_action(K, g, n) == n) == contains(stab, g), (g, n)
 
 
 def test_index_orbits_are_parity_classes():
     # 2*g.n shifts by even amounts and the sign flip preserves parity
     for g in ELEMS:
         for n in range(-4, 5):
-            assert (index_action(g, n) - n) % 2 == 0
+            assert (piece_action(K, g, n) - n) % 2 == 0
 
 
 def test_axis_projection_equivariance():
@@ -80,56 +80,64 @@ def test_axis_projection_equivariance():
            for p in range(-4, 5) for q in range(-4, 5)]
     for g in ELEMS:
         for x in pts[:30]:
-            assert axis_projection(act_point(g, x)) == \
-                shift_action(g, axis_projection(x))
+            assert piece_coordinate(H, x) == x.r
+            assert piece_coordinate(H, act_point(g, x)) == \
+                piece_action(H, g, piece_coordinate(H, x))
 
 
 def test_line_quotient_values():
-    rep = subgroup(1, 2)
-    assert line_quotient(rep, PlanePoint(Fraction(0), Fraction(2))) == -1
-    assert line_quotient(rep, PlanePoint(Fraction(1), Fraction(2))) == 0
-    assert line_quotient(rep, PlanePoint(Fraction(1, 2), Fraction(1))) == 0
-    assert line_quotient(rep, PlanePoint(Fraction(0), Fraction(0))) == 0
-    assert line_quotient(subgroup(3, 4), PlanePoint(Fraction(1), Fraction(1))) == \
-        Fraction(1, 2)
+    d = fixed_direction(subgroup(1, 2))
+    assert piece_coordinate(d, PlanePoint(Fraction(0), Fraction(2))) == -1
+    assert piece_coordinate(d, PlanePoint(Fraction(1), Fraction(2))) == 0
+    assert piece_coordinate(d, PlanePoint(Fraction(1, 2), Fraction(1))) == 0
+    assert piece_coordinate(d, PlanePoint(Fraction(0), Fraction(0))) == 0
+    assert piece_coordinate(fixed_direction(subgroup(3, 4)),
+                            PlanePoint(Fraction(1), Fraction(1))) == Fraction(1, 2)
+    # the mirror representative reads the mirror functional
+    assert piece_coordinate(fixed_direction(subgroup(-1, 2)),
+                            PlanePoint(Fraction(0), Fraction(2))) == 1
 
 
 def test_line_quotient_vanishes_exactly_on_the_line():
-    rep = subgroup(2, 6)  # reduced: gcd(2, 3) = 1
+    d = fixed_direction(subgroup(2, 6))  # reduced: gcd(2, 3) = 1
     for k in range(-3, 4):
         p = PlanePoint(Fraction(2 * k), Fraction(6 * k))
-        assert line_quotient(rep, p) == 0
-    assert line_quotient(rep, PlanePoint(Fraction(1), Fraction(0))) != 0
+        assert piece_coordinate(d, p) == 0
+    assert piece_coordinate(d, PlanePoint(Fraction(1), Fraction(0))) != 0
 
 
 def test_quotient_shift_is_the_cokernel_map():
     rep = subgroup(1, 2)
+    d = fixed_direction(rep)
     translations = [g for g in ELEMS if g.m % 2 == 0]
     values = set()
     for g in translations:
-        s = quotient_shift(rep, g)
+        s = piece_action(d, g, 0)
+        assert type(s) is int
         values.add(s)
         assert (s == 0) == contains(rep, g), g
-        # equivariance: the quotient intertwines translation with shift by s
+        # equivariance: the coordinate intertwines translation with shift by s
         p = PlanePoint(Fraction(1, 3), Fraction(5))
-        assert line_quotient(rep, act_point(g, p)) == s + line_quotient(rep, p)
+        c = piece_coordinate(d, p)
+        assert piece_coordinate(d, act_point(g, p)) == piece_action(d, g, c) == s + c
     assert 1 in values and -1 in values
 
 
 def test_quotient_shift_rejects_glides():
     with pytest.raises(ValueError, match="translation"):
-        quotient_shift(subgroup(1, 2), GroupElement(0, 1))
+        piece_action(fixed_direction(subgroup(1, 2)), GroupElement(0, 1), 0)
+    with pytest.raises(ValueError, match="translation"):
+        piece_action((-3, 1), GroupElement(5, -7), Fraction(1, 2))
 
 
-def test_flat_rep_validation():
-    with pytest.raises(ValueError, match="reduced form"):
-        line_quotient(subgroup(2, 4), PlanePoint(Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError, match="reduced form"):
-        line_quotient(subgroup(1, 0), PlanePoint(Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError, match="reduced form"):
-        line_quotient(subgroup(3, 1), PlanePoint(Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError, match="reduced form"):
-        line_quotient(subgroup(0, 2), PlanePoint(Fraction(0), Fraction(0)))
+def test_flat_rep_validation(capsys):
+    # map-f takes only reduced flat representatives, of either sign
+    for a, b in [(2, 4), (1, 0), (3, 1), (0, 2), (-2, 4), (3, 6)]:
+        assert main(["map-f", str(a), str(b), "0", "0"]) == 1
+        assert "reduced form" in capsys.readouterr().err
+    for a, b in [(1, 2), (-1, 2), (2, 2), (-2, -6), (3, -4)]:
+        assert main(["map-f", str(a), str(b), "0", "0"]) == 0
+        assert capsys.readouterr().out.startswith("0  ")
 
 
 def test_flat_representatives_lists():
@@ -208,41 +216,59 @@ ELEMENTS = st.builds(GroupElement, BIG, BIG)
 TRANSLATIONS = st.builds(GroupElement, BIG, BIG.map(lambda m: 2 * m))
 REPS = st.sampled_from([subgroup(s * r.gen.n, r.gen.m)
                         for r in flat_representatives(6) for s in (1, -1)])
+DIRECTIONS = st.one_of(st.sampled_from([H, K]), REPS.map(fixed_direction))
 
 
 @given(REPS, RATIONALS, RATIONALS)
 def test_line_quotient_matches_its_fraction_form(rep, t, r):
     a, b = rep.gen.n, rep.gen.m
-    q = line_quotient(rep, PlanePoint(t, r))
+    q = piece_coordinate(fixed_direction(rep), PlanePoint(t, r))
     assert type(q) is Fraction
     assert q == (b * t - a * r) / 2
 
 
-def _line_through(rep, p):
-    """The line through p parallel to rep's generator (a, b)."""
-    slope = Fraction(rep.gen.m, rep.gen.n)
-    return Line(slope, p.r - slope * p.t)
+def _line_through(p, q, x):
+    """The line through the point x of direction (p, q)."""
+    if p == 0:
+        return Line(VERTICAL, x.t)
+    slope = Fraction(q, p)
+    return Line(slope, x.r - slope * x.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIRECTIONS, RATIONALS, RATIONALS, RATIONALS,
+       st.one_of(st.just(Fraction(0)), RATIONALS))
+def test_piece_coordinate_is_constant_exactly_on_the_lines(d, t, r, s, e):
+    # y moves off x by s along (p, q) and by e across it, along (-q, p)
+    p, q = d
+    x, y = PlanePoint(t, r), PlanePoint(t + s * p - e * q, r + s * q + e * p)
+    line = _line_through(p, q, x)
+    on_line = line.a * y.t + line.b * y.r == line.c
+    assert on_line == (e == 0)
+    assert (piece_coordinate(d, x) == piece_coordinate(d, y)) == on_line
 
 
 @settings(max_examples=300, deadline=None)
 @given(ELEMENTS, BIG, RATIONALS)
 def test_piece_actions_are_the_line_action(g, n, x):
     # index n is the vertical line t = n/2, and x the horizontal line r = x
-    assert act_line(g, Line(VERTICAL, Fraction(n, 2))) == \
-        Line(VERTICAL, Fraction(index_action(g, n), 2))
-    assert act_line(g, Line(0, x)) == Line(0, shift_action(g, x))
+    n_moved = piece_action(K, g, n)
+    assert type(n_moved) is int
+    assert act_line(g, Line(VERTICAL, Fraction(n, 2))) == Line(VERTICAL, Fraction(n_moved, 2))
+    assert act_line(g, Line(0, x)) == Line(0, piece_action(H, g, x))
 
 
 @settings(max_examples=300, deadline=None)
 @given(REPS, TRANSLATIONS, RATIONALS, RATIONALS)
 def test_line_quotient_is_the_parallel_line(rep, g, t, r):
-    # the quotient value of p is -a/2 times the intercept of the line
-    # through p parallel to rep = (a, b); a translation moves that line
-    # to the one through g.p, and shifts the value by quotient_shift
+    # the coordinate of p is -a/2 times the intercept of the line through
+    # p parallel to rep = (a, b); a translation moves that line to the one
+    # through g.p, and acts on the coordinate by piece_action
+    d = fixed_direction(rep)
     p = PlanePoint(t, r)
-    line = _line_through(rep, p)
-    assert line_quotient(rep, p) == -Fraction(rep.gen.n, 2) * line.intercept
+    line = _line_through(rep.gen.n, rep.gen.m, p)
+    c = piece_coordinate(d, p)
+    assert c == -Fraction(rep.gen.n, 2) * line.intercept
     moved = act_line(g, line)
-    assert moved == _line_through(rep, act_point(g, p))
-    assert -Fraction(rep.gen.n, 2) * moved.intercept == \
-        line_quotient(rep, p) + quotient_shift(rep, g)
+    assert moved == _line_through(rep.gen.n, rep.gen.m, act_point(g, p))
+    assert -Fraction(rep.gen.n, 2) * moved.intercept == piece_action(d, g, c)

@@ -109,7 +109,7 @@ def test_suites_run_clean_at_tiny_bounds(fn, kwargs):
 # suite that tabulates values or compares them in bulk must not go blind.
 PLANTED = [
     pytest.param(
-        "index_action", (GroupElement(1, 1), 0), lambda n: n + 2,
+        "piece_action", ((0, 1), GroupElement(1, 1), 0), lambda n: n + 2,
         kn_suite, dict(bound=3),
         "not an action at g=GroupElement(n=-3, m=-3), h=GroupElement(n=1, m=1), n=0",
         id="kn-action"),
@@ -140,7 +140,7 @@ PLANTED = [
         "PlanePoint(t=Fraction(0, 1), r=Fraction(0, 1))",
         id="equivariant-maps-act_point"),
     pytest.param(
-        "line_quotient", (subgroup(1, 2), PlanePoint(-2, -2)), lambda q: q + 1,
+        "piece_coordinate", ((1, 2), PlanePoint(-2, -2)), lambda q: q + 1,
         maps_suite, dict(bound=3, rep_bound=1),
         "line quotient not equivariant at rep=GroupElement(n=1, m=2), "
         "g=GroupElement(n=-3, m=-2)",
@@ -159,7 +159,7 @@ PLANTED = [
         "not a homomorphism at GroupElement(n=1, m=-2), GroupElement(n=3, m=3)",
         id="representation"),
     pytest.param(
-        "axis_projection", (PlanePoint(Fraction(1, 2), 1),), lambda r: r + 1,
+        "piece_coordinate", ((1, 0), PlanePoint(Fraction(1, 2), 1)), lambda r: r + 1,
         maps_suite, dict(bound=3, rep_bound=1),
         "axis projection not equivariant at GroupElement(n=-3, m=-3), "
         "PlanePoint(t=Fraction(1, 2), r=Fraction(1, 1))",
