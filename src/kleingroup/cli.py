@@ -28,7 +28,7 @@ from .abelian import AbelianGroup, GradedGroups
 from .core import GroupElement, conj, inv, mul, power
 from .homology import kunneth_join, kunneth_product, model_homology, simplicial_homology
 from .isotropy import FixedSetDescriptor, fixed_set, isotropy_group
-from .models import ModelDescriptor, ModelPiece, piece_action, piece_coordinate, pushout_report
+from .models import ModelDescriptor, piece_action, piece_coordinate, piece_text, pushout_report
 from .plane import (
     Line,
     LineDistance,
@@ -42,10 +42,7 @@ from .plane import (
 from .simplicial import circle_complex, disjoint_circles, klein_complex, point_complex
 from .subgroups import (
     CommClass,
-    Commensurator,
     CyclicSubgroup,
-    SubgroupFamily,
-    class_family,
     comm_class,
     commensurable,
     commensurator,
@@ -126,7 +123,22 @@ def _fmt_q(x) -> str:
 
 
 def _class_counts(d: ModelDescriptor) -> Counter:
-    return Counter(p.cls.tag for p in d.pieces)
+    return Counter(c.tag for c in d.pieces)
+
+
+def _family(c: CommClass) -> dict:
+    """The record of the family the class c is glued along: "odd-class"
+    for K, else "commensurable-into" the maximal translations along it."""
+    if c.tag == "K":
+        return {"kind": "odd-class"}
+    return {"kind": "commensurable-into", "anchor": maximal_translations(*c.direction).gen}
+
+
+def _piece(c: CommClass) -> dict:
+    """The record of the pushout piece of the class c."""
+    label, space = piece_text(c)
+    return {"label": label, "space": space, "class": c,
+            "commensurator": commensurator(c), "family": _family(c)}
 
 
 def _present(fields: dict) -> dict:
@@ -155,10 +167,6 @@ def _json(v):
             return {"generator": _json(v.gen)}
         case CommClass():
             return _present({"tag": v.tag, "representative": v.rep and v.rep.gen})
-        case Commensurator():
-            return {"kind": v.kind}
-        case SubgroupFamily():
-            return _present({"kind": v.kind, "anchor": v.anchor and v.anchor.gen})
         case FixedSetDescriptor():
             return _present({"kind": v.kind, "slope": v.slope, "line": v.line})
         case LineDistance():
@@ -169,11 +177,9 @@ def _json(v):
         case GradedGroups():
             groups = {str(n): _json(v[n]) for n in range(max(v.top_degree, 0) + 1)}
             return {"homology": {"reduced": v.reduced, "groups": groups}, "text": v.text()}
-        case ModelPiece():
-            return {"label": v.label, "space": v.space, "class": _json(v.cls),
-                    "commensurator": v.commensurator.kind, "family": _json(v.family)}
         case ModelDescriptor():
-            return {"kind": v.kind, "base": v.base, "pieces": _json(v.pieces),
+            return {"kind": v.kind, "base": v.base,
+                    "pieces": [_json(_piece(c)) for c in v.pieces],
                     "identifications": _json(v.identifications),
                     "counts": dict(_class_counts(v))}
         case SuiteReport():
@@ -202,8 +208,6 @@ def _text(v) -> str:
             return f"<{_text(v.gen)}>"
         case CommClass():
             return v.tag if v.rep is None else f"{v.tag} with representative {_text(v.rep)}"
-        case Commensurator():
-            return v.kind
         case FixedSetDescriptor(kind="single-point"):
             return f"single line {_text(v.line)}"
         case FixedSetDescriptor(kind="vertical-family"):
@@ -347,19 +351,19 @@ def _h_class(a):
 @_command("commensurator", "commensurator of a class", "n m")
 def _h_commensurator(a):
     c = comm_class(subgroup(a.n, a.m))
-    com = commensurator(c)
-    case = ("commensurator: whole group" if com.kind == "whole-group"
-            else "commensurator: translation subgroup")
-    yield {"generator": GroupElement(a.n, a.m), "class": c}, com, case
+    kind = commensurator(c)
+    yield ({"generator": GroupElement(a.n, a.m), "class": c}, {"kind": kind},
+           f"commensurator: {kind.replace('-', ' ')}")
 
 
 @_command("family-contains", "membership in the family of a class", "n m q1 q2")
 def _h_family_contains(a):
-    f = class_family(comm_class(subgroup(a.n, a.m)))
-    member = family_contains(f, subgroup(a.q1, a.q2))
+    c = comm_class(subgroup(a.n, a.m))
+    f = _family(c)
     yield ({"class_generator": GroupElement(a.n, a.m),
             "candidate_generator": GroupElement(a.q1, a.q2)},
-           {"family": f, "member": member}, f"family membership: {f.kind}")
+           {"family": f, "member": family_contains(c, subgroup(a.q1, a.q2))},
+           f"family membership: {f['kind']}")
 
 
 @_command("contains", "membership of an element in a subgroup", "n m g1 g2")

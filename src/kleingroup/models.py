@@ -7,7 +7,9 @@ direction: -1 for (1, 0), so H reads r; 2 for (0, 1), so K reads the
 index n of the vertical line t = n/2, whose isotropy group is <(n, 1)>;
 (1 + q mod 2)/2 for a flat direction, so translations shift it by whole
 units.  The coordinate and the action on it are exact, and are exposed
-so their equivariance can be checked by sweep.
+so their equivariance can be checked by sweep.  A piece is its class, a
+CommClass: its family and commensurator are read off the class by
+family_contains and commensurator, its label and space by piece_text.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from math import gcd
 
 from .core import GroupElement
 from .plane import PlanePoint
-from .subgroups import (
-    Commensurator,
-    CommClass,
-    CyclicSubgroup,
-    SubgroupFamily,
-    class_family,
-    comm_class,
-    commensurator,
-)
+from .subgroups import CommClass, CyclicSubgroup, comm_class
 
 
 # The unit of a piece's coordinate, doubled to an int and keyed by the
@@ -80,35 +74,11 @@ def flat_representatives(bound: int) -> list[CyclicSubgroup]:
 
 
 @dataclass(frozen=True)
-class ModelPiece:
-    """The piece of one class; its text, commensurator and family are
-    views of the class, so no piece can disagree with it."""
-
-    cls: CommClass
-
-    @property
-    def label(self) -> str:
-        return _PIECE_TEXT[self.cls.tag][0].format(c=self.cls)
-
-    @property
-    def space(self) -> str:
-        return _PIECE_TEXT[self.cls.tag][1]
-
-    @property
-    def commensurator(self) -> Commensurator:
-        return commensurator(self.cls)
-
-    @property
-    def family(self) -> SubgroupFamily:
-        return class_family(self.cls)
-
-
-@dataclass(frozen=True)
 class ModelDescriptor:
-    """The pushout model over the plane: its pieces and the
-    identifications that glue them on."""
+    """The pushout model over the plane: its pieces, one per class, and
+    the identifications that glue them on."""
 
-    pieces: tuple[ModelPiece, ...]
+    pieces: tuple[CommClass, ...]
     identifications: tuple[str, ...]
     kind = "pushout"
     base = "plane"
@@ -133,6 +103,16 @@ _PIECE_TEXT = {
 }
 
 
+def piece_text(c: CommClass) -> tuple[str, str]:
+    """The label and the space of the piece of class c.
+
+    >>> piece_text(CommClass((1, 2)))
+    ('flat(1,2)', 'real line, the plane modulo the representative direction')
+    """
+    label, space, _ = _PIECE_TEXT[c.tag]
+    return label.format(c=c), space
+
+
 def pushout_report(orbit_bound: int) -> ModelDescriptor:
     """The pushout model, truncated to the flat classes of bounded
     reduced generators.
@@ -146,17 +126,16 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
         raise ValueError("orbit_bound must be nonnegative")
     if orbit_bound > PUSHOUT_CAP:
         raise ValueError(f"orbit_bound capped at {PUSHOUT_CAP}")
-    classes = [CommClass((1, 0)), CommClass((0, 1))]
-    classes += [comm_class(rep) for rep in flat_representatives(orbit_bound)]
     return ModelDescriptor(
-        pieces=tuple(ModelPiece(c) for c in classes),
+        pieces=(CommClass((1, 0)), CommClass((0, 1)),
+                *(comm_class(rep) for rep in flat_representatives(orbit_bound))),
         identifications=tuple(glue for _, _, glue in _PIECE_TEXT.values()),
     )
 
 
 __all__ = [
-    "ModelPiece",
     "ModelDescriptor",
+    "piece_text",
     "piece_coordinate",
     "piece_action",
     "flat_representatives",

@@ -4,9 +4,11 @@ Every nontrivial proper subgroup of interest here is infinite cyclic,
 written as the span of a canonical generator.  Two subgroups are
 commensurable (intersect in an infinite subgroup) exactly when they fix
 lines of one primitive direction (p, q), with (0, 1) for every glide.
-A glide conjugates p to -p, so classes, and the families the pushout
-model glues them along, are keyed by the direction (|p|, q): tag H is
-(1, 0), K is (0, 1), and R is every other (flat) direction.
+A glide conjugates p to -p, so a class is keyed by the direction
+(|p|, q): tag H is (1, 0), K is (0, 1), and R is every other (flat)
+direction.  The class is the one value for it: the family the pushout
+model glues it along (:func:`family_contains`) and its commensurator
+(:func:`commensurator`) are functions of the class.
 """
 
 from __future__ import annotations
@@ -111,14 +113,6 @@ def commensurable(s: CyclicSubgroup, t: CyclicSubgroup) -> bool:
     return fixed_direction(s) == fixed_direction(t)
 
 
-def _check_direction(direction) -> None:
-    """Accept exactly the class keys: a primitive pair of ints p, q >= 0."""
-    if type(direction) is not tuple or not all(type(x) is int for x in direction):
-        raise TypeError(f"direction must be a tuple of ints, got {direction!r}")
-    if len(direction) != 2 or min(direction) < 0 or gcd(*direction) != 1:
-        raise ValueError(f"direction must be primitive with p, q >= 0, got {direction!r}")
-
-
 _TAGS = {(1, 0): "H", (0, 1): "K"}
 
 
@@ -131,7 +125,12 @@ class CommClass:
     direction: tuple[int, int]
 
     def __post_init__(self) -> None:
-        _check_direction(self.direction)
+        # accept exactly the class keys: a primitive pair of ints p, q >= 0
+        d = self.direction
+        if type(d) is not tuple or not all(type(x) is int for x in d):
+            raise TypeError(f"direction must be a tuple of ints, got {d!r}")
+        if len(d) != 2 or min(d) < 0 or gcd(*d) != 1:
+            raise ValueError(f"direction must be primitive with p, q >= 0, got {d!r}")
 
     @property
     def tag(self) -> str:
@@ -167,59 +166,31 @@ def comm_class(s: CyclicSubgroup) -> CommClass:
     return CommClass((abs(p), q))
 
 
-@dataclass(frozen=True)
-class Commensurator:
-    """Descriptor of a commensurator subgroup of the whole group."""
+def commensurator(c: CommClass) -> str:
+    """The commensurator of (any member of) the class c: "whole-group" for
+    the H and K classes, and for an R class "translation-subgroup", the
+    index-two translations, since a glide flips the class direction.
 
-    kind: str  # "whole-group" or "translation-subgroup"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("whole-group", "translation-subgroup"):
-            raise ValueError("unknown commensurator kind")
-
-
-WHOLE_GROUP = Commensurator("whole-group")
-TRANSLATIONS = Commensurator("translation-subgroup")
+    >>> commensurator(comm_class(subgroup(1, 2)))
+    'translation-subgroup'
+    """
+    return "whole-group" if 0 in c.direction else "translation-subgroup"
 
 
-def commensurator(c: CommClass) -> Commensurator:
-    """The commensurator of (any member of) the class c: the whole group
-    for the H and K classes, and for an R class the index-two translation
-    subgroup, since conjugating by a glide flips the class direction."""
-    return WHOLE_GROUP if 0 in c.direction else TRANSLATIONS
+def family_contains(c: CommClass, s: CyclicSubgroup) -> bool:
+    """Membership of the (nontrivial) cyclic subgroup s in the family the
+    class c is glued along in the pushout model: the subgroups fixing
+    lines of c's direction, which for a flat class are the subgroups of
+    its representative.  The family is keyed by the representative's
+    direction (|p|, q), so a flat subgroup with p < 0 is not in the family
+    of its own class.
 
-
-@dataclass(frozen=True, slots=True)
-class SubgroupFamily:
-    """The trivial subgroup and the cyclic subgroups fixing lines of
-    ``direction``, keyed like :class:`CommClass`.  Views: ``kind`` is
-    "odd-class" for (0, 1), else "commensurable-into" the ``anchor``, the
-    maximal translations along ``direction``."""
-
-    direction: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        _check_direction(self.direction)
-
-    @property
-    def kind(self) -> str:
-        return "odd-class" if self.direction == (0, 1) else "commensurable-into"
-
-    @property
-    def anchor(self) -> CyclicSubgroup | None:
-        return None if self.direction == (0, 1) else maximal_translations(*self.direction)
-
-
-def family_contains(f: SubgroupFamily, s: CyclicSubgroup) -> bool:
-    """Membership of the (nontrivial) cyclic subgroup s in the family f."""
-    return fixed_direction(s) == f.direction
-
-
-def class_family(c: CommClass) -> SubgroupFamily:
-    """The family the class c is glued along in the pushout model: the
-    subgroups fixing lines of c's direction, which for a flat class are
-    the subgroups of its representative."""
-    return SubgroupFamily(c.direction)
+    >>> family_contains(comm_class(subgroup(1, 2)), subgroup(3, 6))
+    True
+    >>> family_contains(comm_class(subgroup(-1, 2)), subgroup(-1, 2))
+    False
+    """
+    return fixed_direction(s) == c.direction
 
 
 def conj_subgroup(t: GroupElement, s: CyclicSubgroup) -> CyclicSubgroup:
@@ -244,10 +215,6 @@ def powers(s: CyclicSubgroup, k_bound: int):
 __all__ = [
     "CyclicSubgroup",
     "CommClass",
-    "Commensurator",
-    "SubgroupFamily",
-    "WHOLE_GROUP",
-    "TRANSLATIONS",
     "canonicalize",
     "subgroup",
     "contains",
@@ -257,7 +224,6 @@ __all__ = [
     "comm_class",
     "maximal_containing",
     "commensurator",
-    "class_family",
     "family_contains",
     "conj_subgroup",
     "powers",

@@ -173,7 +173,7 @@ def test_criterion_09_pushout_and_equivariance(announce):
     counts = []
     for bound in range(1, 7):
         d = pushout_report(bound)
-        tags = [p.cls.tag for p in d.pieces]
+        tags = [c.tag for c in d.pieces]
         if tags.count("H") != 1 or tags.count("K") != 1:
             failures.append(f"census at bound {bound}: {tags}")
         counts.append(tags.count("R"))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleingroup import cli
+from kleingroup import cli, pushout_report
 from kleingroup.cli import EXPONENT_CAP, main
 
 
@@ -37,6 +37,10 @@ def test_text_output(capsys):
     ("join circle klein", "~H_0 = 0, ~H_1 = 0, ~H_2 = 0, ~H_3 = Z + Z_2"
      "  [join assembled from reduced factor homologies]"),
     ("family-contains 3 1 0 4", "true  [family membership: odd-class]"),
+    # a family is keyed by its class's representative, (1, 2) here, so a
+    # flat subgroup with p < 0 is not in the family of its own class
+    ("family-contains -1 2 -1 2", "false  [family membership: commensurable-into]"),
+    ("commensurator 0 4", "whole-group  [commensurator: whole group]"),
 ])
 def test_provenance_labels(argv, line, capsys):
     # labels the golden transcripts do not reach
@@ -279,6 +283,34 @@ def test_pushout_report_counts(capsys):
     labels = [p["label"] for p in rec["result"]["pieces"]]
     assert labels == ["horizontal", "odd-vertical",
                       "flat(1,2)", "flat(1,4)", "flat(2,2)"]
+
+
+def test_one_encoding_of_family_and_commensurator(capsys):
+    # each piece of the report carries the records that family-contains and
+    # commensurator give for a generator of its class
+    _, out, _ = run_cli(["pushout-report", "--bound", "6", "--json"], capsys)
+    pieces = json.loads(out)["result"]["pieces"]
+    classes = pushout_report(6).pieces
+    assert len(pieces) == len(classes) == 25
+    gens = {"H": (1, 0), "K": (0, 1)}
+    for c, piece in zip(classes, pieces):
+        n, m = gens.get(c.tag) or (c.rep.gen.n, c.rep.gen.m)
+        _, out, _ = run_cli(["family-contains", str(n), str(m), "1", "0", "--json"], capsys)
+        assert json.loads(out)["result"]["family"] == piece["family"], c
+        _, out, _ = run_cli(["commensurator", str(n), str(m), "--json"], capsys)
+        assert json.loads(out)["result"]["kind"] == piece["commensurator"], c
+    # the records themselves, also read off non-maximal generators: K is the
+    # odd class, H and R commensurable into the maximal translations
+    for (n, m), piece in zip([(3, 0), (3, 1), (2, 4)], pieces):
+        _, out, _ = run_cli(["family-contains", str(n), str(m), "1", "0", "--json"], capsys)
+        assert json.loads(out)["result"]["family"] == piece["family"], (n, m)
+    assert [p["family"] for p in pieces[:3]] == [
+        {"kind": "commensurable-into", "anchor": {"n": 1, "m": 0}},
+        {"kind": "odd-class"},
+        {"kind": "commensurable-into", "anchor": {"n": 1, "m": 2}},
+    ]
+    assert [p["commensurator"] for p in pieces[:3]] == [
+        "whole-group", "whole-group", "translation-subgroup"]
 
 
 def test_verify_single_suite(capsys):

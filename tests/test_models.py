@@ -16,10 +16,10 @@ from kleingroup import (
     VERTICAL,
     act_line,
     act_point,
-    class_family,
     commensurator,
     conj_subgroup,
     contains,
+    family_contains,
     fixed_direction,
     flat_representatives,
     inv,
@@ -27,6 +27,7 @@ from kleingroup import (
     mul,
     piece_action,
     piece_coordinate,
+    piece_text,
     pushout_report,
     subgroup,
 )
@@ -169,36 +170,31 @@ def test_flat_representatives_hit_every_r_class_once():
 def test_pushout_report_census():
     d = pushout_report(2)
     assert d.kind == "pushout" and d.base == "plane"
-    labels = [p.label for p in d.pieces]
+    labels = [piece_text(c)[0] for c in d.pieces]
     assert labels[0] == "horizontal" and labels[1] == "odd-vertical"
     assert labels[2:] == ["flat(1,2)", "flat(1,4)", "flat(2,2)"]
-    tags = [p.cls.tag for p in d.pieces]
+    tags = [c.tag for c in d.pieces]
     assert tags.count("H") == 1 and tags.count("K") == 1 and tags.count("R") == 3
-    kinds = {p.label: p.commensurator.kind for p in d.pieces}
+    kinds = {piece_text(c)[0]: commensurator(c) for c in d.pieces}
     assert kinds["horizontal"] == "whole-group"
     assert kinds["odd-vertical"] == "whole-group"
     assert kinds["flat(1,2)"] == "translation-subgroup"
     assert len(d.identifications) == 3
-    # every piece is glued along its class's commensurator and family,
-    # in the order H, K, then the flat representatives
+    # one piece per class, in the order H, K, then the flat representatives
     for bound in [*range(9), PUSHOUT_CAP]:
         pieces = pushout_report(bound).pieces
-        assert [p.cls for p in pieces[:2]] == [CommClass((1, 0)), CommClass((0, 1))]
-        assert [(p.cls.tag, p.cls.rep) for p in pieces[2:]] == [
+        assert pieces[:2] == (CommClass((1, 0)), CommClass((0, 1)))
+        assert [(c.tag, c.rep) for c in pieces[2:]] == [
             ("R", rep) for rep in flat_representatives(bound)
         ]
-        for p in pieces:
-            assert p.commensurator == commensurator(p.cls)
-            assert p.family == class_family(p.cls)
 
 
 def test_pushout_report_families_are_disjoint():
     d = pushout_report(3)
-    flats = [p for p in d.pieces if p.cls.tag == "R"]
-    from kleingroup import family_contains
+    flats = [c for c in d.pieces if c.tag == "R"]
     for i, a in enumerate(flats):
         for b in flats[i + 1:]:
-            assert not family_contains(a.family, b.cls.rep)
+            assert not family_contains(a, b.rep)
 
 
 def test_report_bound_validation():

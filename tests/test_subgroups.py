@@ -17,12 +17,8 @@ from kleingroup import (
     CyclicSubgroup,
     FixedSetDescriptor,
     GroupElement,
-    SubgroupFamily,
-    TRANSLATIONS,
-    WHOLE_GROUP,
     canonical_subgroups,
     canonicalize,
-    class_family,
     comm_class,
     commensurable,
     commensurator,
@@ -261,10 +257,10 @@ def test_class_conjugation_invariant():
 
 
 def test_commensurator_kinds():
-    assert commensurator(comm_class(subgroup(1, 0))) == WHOLE_GROUP
-    assert commensurator(comm_class(subgroup(2, 1))) == WHOLE_GROUP
-    assert commensurator(comm_class(subgroup(0, 2))) == WHOLE_GROUP
-    assert commensurator(comm_class(subgroup(1, 2))) == TRANSLATIONS
+    assert commensurator(comm_class(subgroup(1, 0))) == "whole-group"
+    assert commensurator(comm_class(subgroup(2, 1))) == "whole-group"
+    assert commensurator(comm_class(subgroup(0, 2))) == "whole-group"
+    assert commensurator(comm_class(subgroup(1, 2))) == "translation-subgroup"
 
 
 def test_commensurator_membership_oracle():
@@ -278,46 +274,46 @@ def test_commensurator_membership_oracle():
             for t2 in range(-3, 4):
                 t = GroupElement(t1, t2)
                 preserves = commensurable(conj_subgroup(t, s), s)
-                assert (com == WHOLE_GROUP or t.m % 2 == 0) == preserves, (g, t)
+                assert (com == "whole-group" or t.m % 2 == 0) == preserves, (g, t)
 
 
 def test_translation_commensurator_contents():
     # the translations keep a flat class, and a glide flips it
     flat = subgroup(1, 2)
-    assert commensurator(comm_class(flat)) == TRANSLATIONS
+    assert commensurator(comm_class(flat)) == "translation-subgroup"
     for t in (GroupElement(5, 4), GroupElement(-1, 0)):
         assert commensurable(conj_subgroup(t, flat), flat)
     assert not commensurable(conj_subgroup(GroupElement(0, 1), flat), flat)
-    assert commensurator(comm_class(subgroup(0, 2))) == WHOLE_GROUP
+    assert commensurator(comm_class(subgroup(0, 2))) == "whole-group"
 
 
 def test_family_membership():
-    fam_h = class_family(comm_class(subgroup(3, 0)))
-    assert fam_h.kind == "commensurable-into"
-    assert fam_h.anchor == subgroup(1, 0)
+    # the family's kind and anchor are CLI records, pinned in test_cli.py
+    fam_h = comm_class(subgroup(3, 0))
     assert family_contains(fam_h, subgroup(7, 0))
     assert not family_contains(fam_h, subgroup(1, 2))
     assert not family_contains(fam_h, subgroup(0, 2))
 
-    fam_k = class_family(comm_class(subgroup(3, 1)))
-    assert fam_k.kind == "odd-class"
+    fam_k = comm_class(subgroup(3, 1))
     assert family_contains(fam_k, subgroup(-2, 5))
     assert family_contains(fam_k, subgroup(0, 2))
     assert family_contains(fam_k, subgroup(0, 4))
     assert not family_contains(fam_k, subgroup(1, 2))
     assert not family_contains(fam_k, subgroup(1, 0))
 
-    fam_r = class_family(comm_class(subgroup(2, 4)))
-    assert fam_r.anchor == subgroup(1, 2)
+    fam_r = comm_class(subgroup(2, 4))
     assert family_contains(fam_r, subgroup(3, 6))
     assert family_contains(fam_r, subgroup(1, 2))
     assert not family_contains(fam_r, subgroup(1, 4))
+    # keyed by the representative's direction: <(-1, 2)> is in the class
+    # of <(1, 2)>, not in its family
+    assert fam_r == comm_class(subgroup(-1, 2))
     assert not family_contains(fam_r, subgroup(-1, 2))
 
 
 def test_families_closed_under_subgroups_and_conjugation():
     subs = [CyclicSubgroup(g) for g in canonical_gens(4)]
-    families = [class_family(comm_class(s)) for s in
+    families = [comm_class(s) for s in
                 (subgroup(1, 0), subgroup(0, 2), subgroup(1, 2), subgroup(3, 2))]
     for fam in families:
         for s in subs:
@@ -332,19 +328,11 @@ def test_families_closed_under_subgroups_and_conjugation():
                 assert family_contains(fam, conj_subgroup(t, s))
 
 
-def test_family_invalid_construction():
-    for key, error in BAD_DIRECTIONS:
-        with pytest.raises(error, match="direction must be"):
-            SubgroupFamily(key)
-    with pytest.raises(TypeError):
-        SubgroupFamily("commensurable-into", subgroup(0, 2))
-
-
 def test_families_are_equal_exactly_when_their_members_agree():
     subs = canonical_subgroups(6)
-    families = {class_family(comm_class(s)) for s in subs}
+    families = {comm_class(s) for s in subs}
     # every direction whose maximal translations lie on the grid
-    families |= {SubgroupFamily((p, q)) for p in range(4) for q in range(4)
+    families |= {CommClass((p, q)) for p in range(4) for q in range(4)
                  if gcd(p, q) == 1}
     families = sorted(families, key=lambda f: f.direction)
     members = [tuple(family_contains(f, s) for s in subs) for f in families]
@@ -419,6 +407,6 @@ def test_direction_key_matches_the_case_analysis_at_scale(pair):
     assert (comm_class(s) == comm_class(t)) == (
         parity_commensurable(s, t) or parity_commensurable(s, mirror))
     anchor = case_analysis_anchor(s)
-    assert family_contains(class_family(comm_class(s)), t) == parity_commensurable(t, anchor)
+    assert family_contains(comm_class(s), t) == parity_commensurable(t, anchor)
     assert maximal_containing(s) == gcd_maximal_containing(s)
     assert maximal_containing(t) == gcd_maximal_containing(t)
