@@ -474,8 +474,8 @@ def _h_product(a):
 
 @_command("join", "homology of a join of named spaces", "left:space right:space")
 def _h_join(a):
-    hx = simplicial_homology(_build_space(a.left), reduced=True)
-    hy = simplicial_homology(_build_space(a.right), reduced=True)
+    hx = simplicial_homology(_build_space(a.left)).to_reduced()
+    hy = simplicial_homology(_build_space(a.right)).to_reduced()
     yield ({"left": a.left, "right": a.right}, kunneth_join(hx, hy),
            "join assembled from reduced factor homologies")
 

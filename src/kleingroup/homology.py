@@ -3,9 +3,11 @@
 Ranks and torsion come from Smith normal form of the boundary
 operators, reduced from the top degree down with the columns that the
 degree above proves redundant left out (exact once the double boundary
-is checked to be zero).  Homology of a product is assembled from the
+is checked to be zero); the result is unreduced, and ``.to_reduced()``
+gives the reduced groups.  Homology of a product is assembled from the
 factors by the Kunneth formula; homology of a join by its reduced
-variant, one degree up.  The two routes are kept independent so they can check each other.
+variant, one degree up.  The two routes are kept independent so they
+can check each other.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from .simplicial import SimplicialComplex, disjoint_circles, join, klein_complex
 from .snf import IntMatrix, smith_normal_form
 
 
-def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> GradedGroups:
-    """Homology of a chain complex given by its boundary matrices.
+def homology_of_chain(boundaries: list[IntMatrix]) -> GradedGroups:
+    """Unreduced homology of a chain complex given by its boundary matrices.
 
     ``boundaries[k]`` is the matrix of the boundary from degree k+1 to
     degree k (so a 0-dimensional complex passes one (vertices x 0)
@@ -46,7 +48,7 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
     forms = []
     cleared: list[int] = []
     for b in reversed(boundaries):
-        factors, rank, cleared = smith_normal_form(b, cleared, prefix=True)
+        factors, rank, cleared = smith_normal_form(b, cleared)
         forms.append((factors, rank))
     forms.reverse()
     ranks = [0] + [rank for _, rank in forms] + [0]
@@ -57,16 +59,15 @@ def homology_of_chain(boundaries: list[IntMatrix], reduced: bool = False) -> Gra
             raise ValueError("boundary ranks exceed chain dimension")
         torsion = forms[n][0] if n < len(forms) else []
         groups.append(AbelianGroup(free, tuple(d for d in torsion if d > 1)))
-    out = GradedGroups(tuple(groups))
-    return out.to_reduced() if reduced else out
+    return GradedGroups(tuple(groups))
 
 
-def simplicial_homology(x: SimplicialComplex, reduced: bool = False) -> GradedGroups:
+def simplicial_homology(x: SimplicialComplex) -> GradedGroups:
     """
     >>> simplicial_homology(klein_complex()).text()
     'H_0 = Z, H_1 = Z + Z_2'
     """
-    return homology_of_chain(x.boundary_matrices(), reduced=reduced)
+    return homology_of_chain(x.boundary_matrices())
 
 
 def _kunneth_degree(hx: GradedGroups, hy: GradedGroups, n: int) -> AbelianGroup:
@@ -150,7 +151,7 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
         if circles > KUNNETH_CAP:
             raise ValueError(f"kunneth method capped at {KUNNETH_CAP} circles")
         hx = GradedGroups((AbelianGroup(circles - 1), AbelianGroup(circles)), reduced=True)
-        hk = simplicial_homology(klein_complex(), reduced=True)
+        hk = simplicial_homology(klein_complex()).to_reduced()
         return kunneth_join(hx, hk).to_unreduced()
     if method == "simplicial":
         if circles > SIMPLICIAL_CAP:

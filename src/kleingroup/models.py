@@ -73,20 +73,6 @@ def flat_representatives(bound: int) -> list[CyclicSubgroup]:
     ]
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """The pushout model over the plane: its pieces, one per class, and
-    the identifications that glue them on."""
-
-    pieces: tuple[CommClass, ...]
-    identifications: tuple[str, ...]
-    kind = "pushout"
-    base = "plane"
-
-
-# The largest orbit bound pushout_report accepts: 10,045 pieces.
-PUSHOUT_CAP = 128
-
 # Per class tag: the piece's label (formatted with its class c), its
 # space, and the identification that glues it to the plane.  These name
 # axis_projection and line_quotient, the former piece_coordinate at H and
@@ -101,6 +87,21 @@ _PIECE_TEXT = {
           "real line, the plane modulo the representative direction",
           "plane point x ~ [identity, line_quotient(rep, x)] in each flat piece"),
 }
+
+
+@dataclass(frozen=True)
+class ModelDescriptor:
+    """The pushout model over the plane: its pieces, one per class, and
+    the identifications that glue them on, the same for every report."""
+
+    pieces: tuple[CommClass, ...]
+    kind = "pushout"
+    base = "plane"
+    identifications = tuple(glue for _, _, glue in _PIECE_TEXT.values())
+
+
+# The largest orbit bound pushout_report accepts: 10,045 pieces.
+PUSHOUT_CAP = 128
 
 
 def piece_text(c: CommClass) -> tuple[str, str]:
@@ -129,7 +130,6 @@ def pushout_report(orbit_bound: int) -> ModelDescriptor:
     return ModelDescriptor(
         pieces=(CommClass((1, 0)), CommClass((0, 1)),
                 *(comm_class(rep) for rep in flat_representatives(orbit_bound))),
-        identifications=tuple(glue for _, _, glue in _PIECE_TEXT.values()),
     )
 
 

@@ -151,9 +151,12 @@ class LineDistance:
     """Outcome of the line metric: strip width (squared, exact) and the
     bounded distance width/(1+width); non-parallel lines sit at distance 1."""
 
-    parallel: bool
     width_sq: Fraction | None
     value: float
+
+    @property
+    def parallel(self) -> bool:
+        return self.width_sq is not None
 
 
 def line_distance(l1: Line, l2: Line) -> LineDistance:
@@ -166,7 +169,7 @@ def line_distance(l1: Line, l2: Line) -> LineDistance:
     0.75
     """
     if l1.a * l2.b != l2.a * l1.b:
-        return LineDistance(False, None, 1.0)
+        return LineDistance(None, 1.0)
     # both normals are positive multiples of the primitive (a, b) / d
     d1, d2 = math.gcd(l1.a, l1.b), math.gcd(l2.a, l2.b)
     width_sq = Fraction((l1.c * d2 - l2.c * d1) ** 2,
@@ -179,7 +182,7 @@ def line_distance(l1: Line, l2: Line) -> LineDistance:
     if width_sq and not 0 < value < 1:
         raise ValueError("the distance of distinct parallel lines is not a float "
                          "strictly between 0 and 1 at this strip width")
-    return LineDistance(True, width_sq, value)
+    return LineDistance(width_sq, value)
 
 
 def stabilizes(g: GroupElement, line: Line) -> bool:

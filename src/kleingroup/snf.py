@@ -16,12 +16,12 @@ other pivots and report another unit prefix, though never other
 invariant factors.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
-operations and the balanced division written out in it.  Through
-:func:`smith_normal_form` it can leave out given columns and report the
-pivot rows of its unit prefix, so that ``homology_of_chain`` can leave
-out the columns those rows index in the boundary one degree down
-(clearing).  That is exact over Z only for a chain complex whose double
-boundary is zero.
+operations and the balanced division written out in it.
+``smith_normal_form(m, skip)`` leaves out the columns in ``skip`` and
+always returns ``(factors, rank, unit_rows)``, the last the pivot rows
+of its unit prefix, so that ``homology_of_chain`` can leave out the
+columns those rows index in the boundary one degree down (clearing).
+That is exact over Z only for a chain complex whose double boundary is zero.
 """
 
 from __future__ import annotations
@@ -31,24 +31,20 @@ from math import gcd
 
 
 class IntMatrix:
-    """A sparse nrows x ncols integer matrix: ``rows`` maps each row
-    with a nonzero entry to its {column: entry} dict, both in index
-    order, which fixes the order in which the reduction meets pivots."""
+    """A sparse nrows x ncols integer matrix built from dense int rows,
+    which give the width (``IntMatrix.zeros(0, n)`` has no rows): ``rows``
+    maps each row with a nonzero entry to its {column: entry} dict, both in
+    index order, which fixes the order in which the reduction meets pivots."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, data, ncols: int | None = None):
+    def __init__(self, data):
         data = [list(row) for row in data]
         self.nrows = len(data)
-        if self.nrows:
-            widths = {len(r) for r in data}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with data")
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        widths = {len(r) for r in data}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        self.ncols = widths.pop() if widths else 0
         if not all(type(v) is int for row in data for v in row):
             raise TypeError("entries must be ints")
         self.rows: dict[int, dict[int, int]] = {}
@@ -64,8 +60,8 @@ class IntMatrix:
 
     @property
     def data(self) -> list[list[int]]:
-        """A fresh dense copy of the entries: a read-only view, read by
-        the benchmark's observers and by tests that compare dense tables."""
+        """A fresh dense copy of the entries: a read-only view that only
+        the benchmark's observers read."""
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for i, r in self.rows.items():
             for j, v in r.items():
@@ -236,20 +232,20 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     return moduli, unit_rows
 
 
-def smith_normal_form(m: IntMatrix, skip=(), prefix: bool = False) -> tuple:
-    """Invariant factors (the nonzero SNF diagonal, each dividing the
-    next) and the rank, of ``m`` with the columns in ``skip`` left out.
-    With ``prefix``, also the rows of the unit prefix: the pivot rows
-    popped before any pivot held a value other than 1 (after its sign
-    flip), in the order they were popped.
+def smith_normal_form(m: IntMatrix, skip=()) -> tuple[list[int], int, list[int]]:
+    """The invariant factors (the nonzero SNF diagonal, each dividing the
+    next), the rank and the unit-prefix rows of ``m`` with the columns in
+    ``skip`` left out.  The unit-prefix rows are the pivot rows popped
+    before any pivot held a value other than 1 (after its sign flip), in
+    the order they were popped.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
-    ([1, 6], 2)
+    ([1, 6], 2, [])
     >>> smith_normal_form(IntMatrix.zeros(3, 2))
-    ([], 0)
-    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), prefix=True)
+    ([], 0, [])
+    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
     ([1, 2], 2, [0])
-    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip=[0], prefix=True)
+    >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip=[0])
     ([2], 1, [])
     """
     for j in skip:
@@ -258,9 +254,7 @@ def smith_normal_form(m: IntMatrix, skip=(), prefix: bool = False) -> tuple:
         if not 0 <= j < m.ncols:
             raise ValueError(f"skipped column {j} outside 0..{m.ncols - 1}")
     moduli, unit_rows = _diagonal_moduli(m, skip)
-    if prefix:
-        return invariant_factor_chain(moduli), len(moduli), unit_rows
-    return invariant_factor_chain(moduli), len(moduli)
+    return invariant_factor_chain(moduli), len(moduli), unit_rows
 
 
 __all__ = ["IntMatrix", "smith_normal_form", "invariant_factor_chain"]

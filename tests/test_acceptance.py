@@ -158,9 +158,9 @@ def test_criterion_07_model_truncations(announce):
 
 def test_criterion_08_ses_bookkeeping(announce):
     bad = []
-    hk = simplicial_homology(klein_complex(), reduced=True)
+    hk = simplicial_homology(klein_complex()).to_reduced()
     for n in (1, 2, 3, 4):
-        hx = simplicial_homology(disjoint_circles(n), reduced=True)
+        hx = simplicial_homology(disjoint_circles(n)).to_reduced()
         for row in join_sequence_check(hx, hk):
             if not row["rank_ok"]:
                 bad.append((n, row))

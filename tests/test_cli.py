@@ -9,7 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from kleingroup import cli, pushout_report
+from kleingroup import (
+    circle_complex,
+    cli,
+    disjoint_circles,
+    join,
+    klein_complex,
+    point_complex,
+    pushout_report,
+    simplicial_homology,
+)
 from kleingroup.cli import EXPONENT_CAP, main
 
 
@@ -34,7 +43,14 @@ def test_text_output(capsys):
     ("pow 3 1 3", "(3, 3)  [power: odd generator, odd exponent]"),
     ("contains 1 2 2 4", "true  [power membership: even generator]"),
     ("stabilizes 3 1 inf 3/2", "true  [stabilizer criterion: vertical line]"),
+    # no golden case runs join
     ("join circle klein", "~H_0 = 0, ~H_1 = 0, ~H_2 = 0, ~H_3 = Z + Z_2"
+     "  [join assembled from reduced factor homologies]"),
+    ("join klein circle", "~H_0 = 0, ~H_1 = 0, ~H_2 = 0, ~H_3 = Z + Z_2"
+     "  [join assembled from reduced factor homologies]"),
+    ("join circles:2 klein", "~H_0 = 0, ~H_1 = 0, ~H_2 = Z + Z_2, ~H_3 = Z^2 + Z_2^2"
+     "  [join assembled from reduced factor homologies]"),
+    ("join klein klein", "~H_0 = 0, ~H_1 = 0, ~H_2 = 0, ~H_3 = Z + Z_2^3, ~H_4 = Z_2"
      "  [join assembled from reduced factor homologies]"),
     ("family-contains 3 1 0 4", "true  [family membership: odd-class]"),
     # a family is keyed by its class's representative, (1, 2) here, so a
@@ -533,3 +549,22 @@ def test_product_and_join_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["product", "torus", "klein"])
     assert exc.value.code == 2
+
+
+# the spaces of the join command, built by the library's own constructors
+JOIN_SPACES = {"point": point_complex(), "circle": circle_complex(),
+               "klein": klein_complex(), "circles:2": disjoint_circles(2)}
+
+
+@pytest.mark.parametrize("right", JOIN_SPACES)
+@pytest.mark.parametrize("left", JOIN_SPACES)
+def test_join_matches_the_triangulated_join(left, right, capsys):
+    # the CLI assembles a join by Kunneth from reduced factor homologies;
+    # the triangulated join is the independent route
+    code, out, _ = run_cli(["join", left, right, "--json"], capsys)
+    assert code == 0
+    h = simplicial_homology(join(JOIN_SPACES[left], JOIN_SPACES[right])).to_reduced()
+    groups = {str(n): {"rank": h[n].rank, "torsion": list(h[n].torsion)}
+              for n in range(max(h.top_degree, 0) + 1)}
+    assert json.loads(out)["result"] == {"homology": {"reduced": True, "groups": groups},
+                                         "text": h.text()}

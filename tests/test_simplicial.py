@@ -134,7 +134,6 @@ def test_boundary_of_the_standard_3_simplex():
           [0, 1, 0, -1],           # 13
           [0, 0, 1, 1]]            # 23
     d3 = [[-1], [1], [-1], [1]]    # 012 013 023 123 | column 0123
-    assert [m.data for m in mats] == [d1, d2, d3]
     assert mats == [IntMatrix(d1), IntMatrix(d2), IntMatrix(d3)]
 
 
