@@ -6,7 +6,11 @@ nothing overflows.  Pivots are units while any is left, else smallest
 entries.  That does not bound coefficient growth: a scrambled 18 x 16
 boundary has reached entries of 1,955,814 bits.  Row operations clear a
 pivot's column; the column operations that clear its row then touch that
-row alone, so they reduce to remainders mod the pivot.
+row alone, so they reduce to remainders mod the pivot.  A pivot of +-1
+leaves remainders 0 everywhere, so its step is one pass over its column
+and the pivot row then leaves the matrix as it stands, with no sign flip
+and no sweep of its other entries.  On simplicial boundaries nearly
+every pivot is such a unit.
 
 The order is part of the result.  Boundary matrices and products
 (``a @ b``, which sorts the nonzero entries of each product row) list
@@ -16,7 +20,9 @@ other pivots and report another unit prefix, though never other
 invariant factors.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
-operations and the balanced division written out in it.
+operations and the balanced division written out in it; the row
+operation is written twice, once in the unit step and once for the
+other pivots.
 ``smith_normal_form(m, skip)`` leaves out the columns in ``skip`` and
 always returns ``(factors, rank, unit_rows)``, the last the pivot rows
 of its unit prefix, so that ``homology_of_chain`` can leave out the
@@ -87,8 +93,8 @@ class IntMatrix:
         for i, row in self.rows.items():
             acc: dict[int, int] = {}
             for k, a in row.items():
-                if k in orows:
-                    for j, b in orows[k].items():
+                if brow := orows.get(k):
+                    for j, b in brow.items():
                         acc[j] = acc.get(j, 0) + a * b
             if nonzero := [(j, v) for j, v in acc.items() if v]:
                 nonzero.sort()
@@ -161,13 +167,17 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     ``skip``; return the positive diagonal entries (not yet chained) and
     the unit-prefix rows.
 
-    Row operations clear the pivot column; then each other entry of the
-    pivot row becomes its balanced remainder modulo the pivot, and a
-    nonzero one takes over as pivot.  The unit prefix is the run of
-    steps before any pivot held a value other than 1 (after its sign
-    flip); its rows are returned in the order they were popped.  A step
-    that starts at a larger pivot and hands over to a 1 has mixed rows,
-    so the prefix ends there even though it pops 1.
+    A unit pivot p = +-1 subtracts a * p times its row from each row
+    with an entry a in its column, which clears the column in one pass;
+    then the pivot row is dropped whole, as every remainder mod 1 is 0.
+    A larger pivot is flipped to be positive; row operations clear its
+    column up to balanced remainders, and a nonzero one takes over as
+    pivot; then each other entry of the pivot row becomes its balanced
+    remainder modulo the pivot, and a nonzero one takes over again.  The
+    unit prefix is the run of steps before any pivot held a value other
+    than +-1; its rows are returned in the order they were popped.  A
+    step that starts at a larger pivot and hands over to a unit has mixed
+    rows, so the prefix ends there even though it pops 1.
     """
     rows = {i: dict(r) for i, r in m.rows.items()}
     cols: dict[int, set[int]] = defaultdict(set)
@@ -187,11 +197,37 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
         pi, pj = _pivot(rows)
         while True:
             prow = rows[pi]
-            if prow[pj] < 0:
-                prow = rows[pi] = {j: -v for j, v in prow.items()}
             p = prow[pj]
-            if p != 1:
-                units = False
+            if p == 1 or p == -1:
+                # q = a * p clears each entry of the column exactly, so
+                # nothing is handed over and the row leaves unflipped
+                del rows[pi], prow[pj]
+                for i in cols.pop(pj):
+                    if i != pi:
+                        row = rows[i]
+                        q = row.pop(pj) * p
+                        # row i -= q * row pi
+                        for j, v in prow.items():
+                            if j not in row:
+                                row[j] = -q * v
+                                cols[j].add(i)
+                            elif new := row[j] - q * v:
+                                row[j] = new
+                            else:
+                                del row[j]
+                                cols[j].discard(i)
+                        if not row:
+                            del rows[i]
+                for j in prow:
+                    cols[j].discard(pi)
+                moduli.append(1)
+                if units:
+                    unit_rows.append(pi)
+                break
+            units = False
+            if p < 0:
+                p = -p
+                prow = rows[pi] = {j: -v for j, v in prow.items()}
             # q = round(a / p), halves rounding down, leaves a - q*p in
             # (-p/2, p/2]
             p2 = 2 * p
@@ -224,11 +260,9 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
                     del prow[j]
                     cols[j].discard(pi)
                 else:
+                    moduli.append(rows.pop(pi)[pj])
+                    cols[pj].discard(pi)
                     break
-        moduli.append(rows.pop(pi)[pj])
-        cols[pj].discard(pi)
-        if units:
-            unit_rows.append(pi)
     return moduli, unit_rows
 
 
@@ -236,8 +270,8 @@ def smith_normal_form(m: IntMatrix, skip=()) -> tuple[list[int], int, list[int]]
     """The invariant factors (the nonzero SNF diagonal, each dividing the
     next), the rank and the unit-prefix rows of ``m`` with the columns in
     ``skip`` left out.  The unit-prefix rows are the pivot rows popped
-    before any pivot held a value other than 1 (after its sign flip), in
-    the order they were popped.
+    before any pivot held a value other than +-1, in the order they were
+    popped.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     ([1, 6], 2, [])

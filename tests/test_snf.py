@@ -1,6 +1,8 @@
 """Smith normal form against the determinantal-divisor oracle."""
 
+import copy
 import random
+from collections import defaultdict
 from itertools import combinations
 from math import gcd
 
@@ -132,6 +134,112 @@ def test_unit_prefix_ends_at_the_first_non_unit_pivot():
     assert smith_normal_form(IntMatrix([[3, 0], [2, 0], [0, 0]])) == ([1], 1, [])
     # pivot 2 leaves row 1 at (0, 1); that later unit step stays outside
     assert smith_normal_form(IntMatrix([[2, 4], [4, 9]])) == ([1, 2], 2, [])
+    # a -1 pivot is a unit and extends the prefix
+    assert smith_normal_form(IntMatrix([[-1, 2], [3, 4]])) == ([1, 10], 2, [0])
+    assert smith_normal_form(IntMatrix([[3, 0], [2, 0], [0, -1]])) == ([1, 1], 2, [2])
+    assert smith_normal_form(IntMatrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])) == \
+        ([1, 1], 2, [0, 1])
+
+
+def reference_moduli(m: IntMatrix, skip):
+    """The elimination with no unit step: every pivot is flipped to be
+    positive, clears its column by balanced division and sweeps its row
+    to remainders, whatever its value.  The unit step must leave the
+    pivot sequence, and so the unit-prefix rows, as this one finds them."""
+    rows = {i: dict(r) for i, r in m.rows.items()}
+    cols = defaultdict(set)
+    for i, r in rows.items():
+        for j in r:
+            cols[j].add(i)
+    for j in skip:
+        for i in cols.pop(j, ()):
+            del rows[i][j]
+            if not rows[i]:
+                del rows[i]
+
+    def pivot():
+        least, at = 0, (0, 0)
+        for i, r in rows.items():
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    return i, j
+                if not least or abs(v) < least:
+                    least, at = abs(v), (i, j)
+        return at
+
+    moduli, unit_rows, units = [], [], True
+    while rows:
+        pi, pj = pivot()
+        while True:
+            prow = rows[pi]
+            if prow[pj] < 0:
+                prow = rows[pi] = {j: -v for j, v in prow.items()}
+            p = prow[pj]
+            if p != 1:
+                units = False
+            p2 = 2 * p
+            for i in [i for i in cols[pj] if i != pi]:
+                row = rows[i]
+                if q := (2 * row[pj] + p - 1) // p2:
+                    for j, v in prow.items():
+                        if j not in row:
+                            row[j] = -q * v
+                            cols[j].add(i)
+                        elif new := row[j] - q * v:
+                            row[j] = new
+                        else:
+                            del row[j]
+                            cols[j].discard(i)
+                    if not row:
+                        del rows[i]
+                        continue
+                if pj in row:
+                    pi = i
+                    break
+            else:
+                for j in [j for j in prow if j != pj]:
+                    v = prow[j]
+                    if r := v - (2 * v + p - 1) // p2 * p:
+                        prow[j] = r
+                        pj = j
+                        break
+                    del prow[j]
+                    cols[j].discard(pi)
+                else:
+                    break
+        moduli.append(rows.pop(pi)[pj])
+        cols[pj].discard(pi)
+        if units:
+            unit_rows.append(pi)
+    return invariant_factor_chain(moduli), len(moduli), unit_rows
+
+
+@st.composite
+def unit_heavy(draw):
+    """Matrices up to 10 x 10 made mostly of +-1, with a random skip."""
+    nr, nc = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    skip = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
+    return dense(rows, nc), skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy())
+def test_matches_the_elimination_without_a_unit_step(case):
+    m, skip = case
+    assert smith_normal_form(m, skip) == reference_moduli(m, skip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_heavy())
+def test_leaves_the_input_rows_unchanged(case):
+    m, skip = case
+    before = copy.deepcopy(m.rows)
+    smith_normal_form(m, skip)
+    # in index order too, which the pivot search reads
+    assert [(i, list(r.items())) for i, r in m.rows.items()] == \
+        [(i, list(r.items())) for i, r in before.items()]
 
 
 @settings(max_examples=200, deadline=None)
