@@ -127,8 +127,8 @@ def _class_counts(d: ModelDescriptor) -> Counter:
 
 
 def _family(c: CommClass) -> dict:
-    """The record of the family the class c is glued along: "odd-class"
-    for K, else "commensurable-into" the maximal translations along it."""
+    """The record of class c's family: "odd-class" for K, which has no one
+    maximal anchor, else "commensurable-into" its maximal translations."""
     if c.tag == "K":
         return {"kind": "odd-class"}
     return {"kind": "commensurable-into", "anchor": maximal_translations(*c.direction).gen}

@@ -1,15 +1,15 @@
 """Symbolic assembly of the pushout classifying-space model.
 
-The pushout model glues, over the plane, one piece per commensurability
-class: the lines q*t - p*r = const of the class's fixed direction (p, q),
-read by the one coordinate unit * (q*t - p*r).  The unit comes from the
-direction: -1 for (1, 0), so H reads r; 2 for (0, 1), so K reads the
-index n of the vertical line t = n/2, whose isotropy group is <(n, 1)>;
-(1 + q mod 2)/2 for a flat direction, so translations shift it by whole
-units.  The coordinate and the action on it are exact, and are exposed
-so their equivariance can be checked by sweep.  A piece is its class, a
-CommClass: its family and commensurator are read off the class by
-family_contains and commensurator, its label and space by piece_text.
+Every piece of the pushout has one shape: the real line of the lines
+q*t - p*r = const of its class's fixed direction d = (p, q), glued to the
+plane by x ~ piece_coordinate(d, x) = unit * (q*t - p*r).  The unit comes
+from d: -1 for (1, 0), so H reads r; 2 for (0, 1), so K reads 2t, and its
+line is the Bass-Serre tree of <(0,1)> *_<(0,2)> <(1,1)>, vertex n being
+the vertical line t = n/2 with isotropy <(n, 1)>; (1 + q mod 2)/2 for a
+flat d, so translations shift it by whole units.  piece_action acts
+exactly on rational c, and an int c stays an int.  A piece is its class,
+a CommClass: family_contains, commensurator and piece_text read its
+family, commensurator, label and space off the class.
 """
 
 from __future__ import annotations
@@ -28,6 +28,18 @@ from .subgroups import CommClass, CyclicSubgroup, comm_class
 _TWICE_UNIT = {(1, 0): -2, (0, 1): 4}
 
 
+def _twice_unit(d: tuple[int, int]) -> int:
+    """Twice the unit of direction d, which must be one fixed_direction
+    returns: (1, 0), or primitive with q > 0."""
+    twice_unit = _TWICE_UNIT.get(d)
+    if twice_unit is None:
+        p, q = d
+        if q <= 0 or gcd(p, q) != 1:
+            raise ValueError(f"direction must be (1, 0) or primitive with q > 0, got {d!r}")
+        twice_unit = 1 + q % 2
+    return twice_unit
+
+
 def piece_coordinate(d: tuple[int, int], x: PlanePoint) -> Fraction:
     """The coordinate unit * (q*t - p*r) of the line of direction d = (p, q)
     through x: constant exactly on that line.
@@ -38,25 +50,28 @@ def piece_coordinate(d: tuple[int, int], x: PlanePoint) -> Fraction:
     p, q = d
     tn, td = x.t.as_integer_ratio()
     rn, rd = x.r.as_integer_ratio()
-    return Fraction(_TWICE_UNIT.get(d, 1 + q % 2) * (q * tn * rd - p * rn * td),
-                    2 * td * rd)
+    return Fraction(_twice_unit(d) * (q * tn * rd - p * rn * td), 2 * td * rd)
 
 
 def piece_action(d: tuple[int, int], g: GroupElement, c):
-    """The action c -> +-c + unit * (q*g.n - p*g.m) of g on the coordinate of
-    direction d = (p, q), with the sign flipped for a glide exactly when
-    p = 0; an int c stays an int.  A glide mirrors a flat direction to
-    (-p, q), so it does not act on a flat piece.
+    """The action c -> +-c + unit * (q*g.n - p*g.m) of g on the rational
+    coordinate c of direction d = (p, q), with the sign flipped for a
+    glide exactly when p = 0; c is an int or a Fraction, and an int c
+    stays an int.  A glide mirrors a flat direction to (-p, q), so it
+    does not act on a flat piece.
 
     >>> [piece_action(d, GroupElement(2, 1), 5) for d in [(1, 0), (0, 1)]]
     [6, -1]
+    >>> piece_action((0, 1), GroupElement(1, 1), Fraction(1, 2))
+    Fraction(3, 2)
     """
     p, q = d
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"coordinate must be an int or a Fraction, got {c!r}")
     glide = g.m & 1
     if glide and p and q:
         raise ValueError("a glide mirrors a flat piece; only translations act on it")
-    return (-c if glide and not p else c) + \
-        _TWICE_UNIT.get(d, 1 + q % 2) * (q * g.n - p * g.m) // 2
+    return (-c if glide and not p else c) + _twice_unit(d) * (q * g.n - p * g.m) // 2
 
 
 def flat_representatives(bound: int) -> list[CyclicSubgroup]:
@@ -73,31 +88,19 @@ def flat_representatives(bound: int) -> list[CyclicSubgroup]:
     ]
 
 
-# Per class tag: the piece's label (formatted with its class c), its
-# space, and the identification that glues it to the plane.  These name
-# axis_projection and line_quotient, the former piece_coordinate at H and
-# R, as the golden pushout-report-bound-3 case freezes them; they are to
-# be regenerated when the odd-vertical piece is rebuilt as a tree.
-_PIECE_TEXT = {
-    "H": ("horizontal", "real line with the shift action x -> g.m + x",
-          "plane point x ~ axis_projection(x) in the horizontal piece"),
-    "K": ("odd-vertical", "join of the integer family with the plane",
-          "plane point x ~ x inside the plane factor of the odd-vertical piece"),
-    "R": ("flat({c.rep.gen.n},{c.rep.gen.m})",
-          "real line, the plane modulo the representative direction",
-          "plane point x ~ [identity, line_quotient(rep, x)] in each flat piece"),
-}
+# Per class tag, the piece's label, formatted with its class c.
+_LABELS = {"H": "horizontal", "K": "odd-vertical", "R": "flat({c.rep.gen.n},{c.rep.gen.m})"}
 
 
 @dataclass(frozen=True)
 class ModelDescriptor:
     """The pushout model over the plane: its pieces, one per class, and
-    the identifications that glue them on, the same for every report."""
+    the one rule that glues each piece on, the same for every report."""
 
     pieces: tuple[CommClass, ...]
     kind = "pushout"
     base = "plane"
-    identifications = tuple(glue for _, _, glue in _PIECE_TEXT.values())
+    identifications = ("plane point x ~ piece_coordinate(d, x) in the piece of direction d",)
 
 
 # The largest orbit bound pushout_report accepts: 10,045 pieces.
@@ -105,13 +108,14 @@ PUSHOUT_CAP = 128
 
 
 def piece_text(c: CommClass) -> tuple[str, str]:
-    """The label and the space of the piece of class c.
+    """The label and the space of the piece of class c: the real line of
+    the lines of its direction.
 
     >>> piece_text(CommClass((1, 2)))
-    ('flat(1,2)', 'real line, the plane modulo the representative direction')
+    ('flat(1,2)', 'real line, the plane modulo the lines of direction (1, 2)')
     """
-    label, space, _ = _PIECE_TEXT[c.tag]
-    return label.format(c=c), space
+    space = f"real line, the plane modulo the lines of direction {c.direction}"
+    return _LABELS[c.tag].format(c=c), space
 
 
 def pushout_report(orbit_bound: int) -> ModelDescriptor:

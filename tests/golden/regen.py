@@ -3,7 +3,8 @@
 Run as ``python3 tests/golden/regen.py`` from the repo root after an
 intentional output change, then eyeball the diff before committing.
 The case names and argv come from cases.json itself; to add a case, add
-an entry holding only its "argv" and regenerate.
+an entry holding only its "argv" and regenerate.  The names of the cases
+whose transcript changed are printed on stderr.
 The test suite replays cases.json byte-for-byte, so regenerating
 without review defeats its purpose.
 """
@@ -38,6 +39,9 @@ def generate(cases: dict) -> dict:
 
 
 if __name__ == "__main__":
-    cases = generate(json.loads(CASES_PATH.read_text()))
+    old = json.loads(CASES_PATH.read_text())
+    cases = generate(old)
     CASES_PATH.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {CASES_PATH}", file=sys.stderr)
+    for name in sorted(name for name in cases if cases[name] != old[name]):
+        print(f"changed: {name}", file=sys.stderr)

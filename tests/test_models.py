@@ -1,11 +1,13 @@
 """Index action, gluing maps, flat representatives, model reports."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kleingroup
 from kleingroup import (
     CommClass,
     GroupElement,
@@ -16,6 +18,7 @@ from kleingroup import (
     VERTICAL,
     act_line,
     act_point,
+    canonical_subgroups,
     commensurator,
     conj_subgroup,
     contains,
@@ -131,6 +134,25 @@ def test_quotient_shift_rejects_glides():
         piece_action((-3, 1), GroupElement(5, -7), Fraction(1, 2))
 
 
+def test_piece_maps_reject_directions_fixed_direction_never_returns():
+    x = PlanePoint(3, 5)
+    for d in [(0, 0), (2, 4), (0, -1), (-1, 0), (1, -2), (0, 2), (3, 0)]:
+        with pytest.raises(ValueError, match="direction"):
+            piece_coordinate(d, x)
+        with pytest.raises(ValueError, match="direction"):
+            piece_action(d, GroupElement(1, 2), 0)
+    # the unreduced and the flipped forms would read as these, silently
+    assert piece_coordinate((1, 2), x) == Fraction(1, 2)
+    assert piece_action(K, GroupElement(1, 1), 0) == 2
+
+
+def test_piece_action_rejects_inexact_coordinates():
+    for c in [1.5, 2.0, True, "1", None]:
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            piece_action(K, GroupElement(1, 0), c)
+    assert piece_action(K, GroupElement(1, 0), Fraction(3, 2)) == Fraction(7, 2)
+
+
 def test_flat_rep_validation(capsys):
     # map-f takes only reduced flat representatives, of either sign
     for a, b in [(2, 4), (1, 0), (3, 1), (0, 2), (-2, 4), (3, 6)]:
@@ -179,7 +201,7 @@ def test_pushout_report_census():
     assert kinds["horizontal"] == "whole-group"
     assert kinds["odd-vertical"] == "whole-group"
     assert kinds["flat(1,2)"] == "translation-subgroup"
-    assert len(d.identifications) == 3
+    assert len(d.identifications) == 1
     # one piece per class, in the order H, K, then the flat representatives
     for bound in [*range(9), PUSHOUT_CAP]:
         pieces = pushout_report(bound).pieces
@@ -187,6 +209,46 @@ def test_pushout_report_census():
         assert [(c.tag, c.rep) for c in pieces[2:]] == [
             ("R", rep) for rep in flat_representatives(bound)
         ]
+
+
+def _fixed_set(d, g):
+    """The fixed set of g on the piece of direction d, whose action
+    c -> e*c + s is read from two piece_action calls: the whole line, no
+    point, or the one point s/2."""
+    s = piece_action(d, g, 0)
+    e = piece_action(d, g, 1) - s
+    if e == 1:
+        return "line" if s == 0 else "empty"
+    assert e == -1, (d, g, e)
+    half = Fraction(s, 2)
+    assert piece_action(d, g, half) == half
+    return "point"
+
+
+def test_each_piece_is_a_model_for_its_family():
+    # X^S is contractible (a line or a point) for S in the class's family
+    # and empty otherwise; a glide does not act on a flat piece
+    pairs = 0
+    for c in pushout_report(8).pieces:
+        for s in canonical_subgroups(8):
+            if c.tag == "R" and s.gen.m % 2:
+                with pytest.raises(ValueError, match="translation"):
+                    piece_action(c.direction, s.gen, 0)
+                continue
+            fixed = _fixed_set(c.direction, s.gen)
+            assert (fixed != "empty") == family_contains(c, s), (c, s, fixed)
+            pairs += 1
+    assert pairs == 3_556
+
+
+def test_report_strings_name_only_public_functions():
+    d = pushout_report(3)
+    strings = [*d.identifications, *(piece_text(c)[1] for c in d.pieces)]
+    names = {name for text in strings for name in re.findall(r"(\w+)\(", text)}
+    assert "piece_coordinate" in names
+    assert names <= set(kleingroup.__all__)
+    for text in strings:
+        assert "integer family" not in text and "plane factor" not in text, text
 
 
 def test_pushout_report_families_are_disjoint():
@@ -268,3 +330,22 @@ def test_line_quotient_is_the_parallel_line(rep, g, t, r):
     moved = act_line(g, line)
     assert moved == _line_through(rep.gen.n, rep.gen.m, act_point(g, p))
     assert -Fraction(rep.gen.n, 2) * moved.intercept == piece_action(d, g, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENTS, RATIONALS, RATIONALS)
+def test_odd_vertical_coordinate_is_equivariant_off_the_integers(g, t, r):
+    x = PlanePoint(t, r)
+    c = piece_coordinate(K, x)
+    assert c == 2 * t
+    assert piece_coordinate(K, act_point(g, x)) == piece_action(K, g, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENTS, ELEMENTS, RATIONALS)
+def test_odd_vertical_action_is_an_action_on_the_rationals(g, h, c):
+    moved = piece_action(K, g, piece_action(K, h, c))
+    assert type(moved) is Fraction
+    assert moved == piece_action(K, mul(g, h), c)
+    assert piece_action(K, IDENTITY, c) == c
+    assert piece_action(K, inv(g), piece_action(K, g, c)) == c
