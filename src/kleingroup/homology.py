@@ -39,6 +39,8 @@ def homology_of_chain(boundaries: list[IntMatrix]) -> GradedGroups:
     """
     if not boundaries:
         raise ValueError("need at least one boundary matrix")
+    if not all(isinstance(b, IntMatrix) for b in boundaries):
+        raise TypeError("boundaries must be IntMatrix values")
     for a, b in zip(boundaries, boundaries[1:]):
         if a.ncols != b.nrows:
             raise ValueError("boundary shapes do not chain")

@@ -9,9 +9,7 @@ each dimension's simplices in sorted order; faces are
 The boundary of s = (v_0, ..., v_d) is the sum of (-1)^k times the face
 without v_k.  ``combinations(s, d)`` yields the faces without v_d, v_{d-1},
 ..., v_0 in that order, so the signs are (-1)^d, ..., -1, +1.  Boundary
-matrices fill the sparse rows of an ``IntMatrix`` directly, with rows and
-the entries of each row in ascending index order: the order in which
-Smith normal form meets its pivots.
+matrices are built by ``IntMatrix.from_rows``, one row per face.
 """
 
 from __future__ import annotations
@@ -83,7 +81,7 @@ class SimplicialComplex:
         if not self._by_dim:
             raise ValueError("empty complex")
         if self.dim == 0:
-            return [IntMatrix.zeros(len(self._by_dim[0]), 0)]
+            return [IntMatrix.from_rows(len(self._by_dim[0]), 0, {})]
         out = []
         for d in range(1, self.dim + 1):
             faces, cells = self._by_dim[d - 1], self._by_dim[d]
@@ -94,9 +92,7 @@ class SimplicialComplex:
             for j, s in enumerate(cells):
                 for face, sign in zip(combinations(s, d), signs):
                     rows[index[face]][j] = sign
-            mat = IntMatrix.zeros(len(faces), len(cells))
-            mat.rows = {i: r for i, r in enumerate(rows) if r}
-            out.append(mat)
+            out.append(IntMatrix.from_rows(len(faces), len(cells), dict(enumerate(rows))))
         return out
 
     def relabeled(self, offset: int = 0) -> "SimplicialComplex":

@@ -12,12 +12,11 @@ and the pivot row then leaves the matrix as it stands, with no sign flip
 and no sweep of its other entries.  On simplicial boundaries nearly
 every pivot is such a unit.
 
-The order is part of the result.  Boundary matrices and products
-(``a @ b``, which sorts the nonzero entries of each product row) list
-rows, and the entries within a row, in ascending index order.  The pivot
-search takes the first unit in that order, so another order could pick
-other pivots and report another unit prefix, though never other
-invariant factors.
+The order is part of the result.  ``IntMatrix.from_rows``, which builds
+every matrix, checks its input and stores rows, and the entries within
+a row, in ascending index order.  The pivot search takes the first unit
+in that order, so another order could pick other pivots and report
+another unit prefix, though never other invariant factors.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
 operations and the balanced division written out in it; the row
@@ -37,31 +36,49 @@ from math import gcd
 
 
 class IntMatrix:
-    """A sparse nrows x ncols integer matrix built from dense int rows,
-    which give the width (``IntMatrix.zeros(0, n)`` has no rows): ``rows``
-    maps each row with a nonzero entry to its {column: entry} dict, both in
-    index order, which fixes the order in which the reduction meets pivots."""
+    """A sparse nrows x ncols integer matrix: ``rows`` maps each row with
+    a nonzero entry to its {column: entry} dict, both in index order,
+    which fixes the order in which the reduction meets pivots.  Only
+    ``from_rows`` builds one; ``IntMatrix(data)`` reads dense int rows,
+    which give the width, through it."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, data):
+    def __new__(cls, data):
         data = [list(row) for row in data]
-        self.nrows = len(data)
         widths = {len(r) for r in data}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        self.ncols = widths.pop() if widths else 0
-        if not all(type(v) is int for row in data for v in row):
-            raise TypeError("entries must be ints")
-        self.rows: dict[int, dict[int, int]] = {}
-        for i, row in enumerate(data):
-            if r := {j: v for j, v in enumerate(row) if v}:
-                self.rows[i] = r
+        # int zeros go here; every other entry reaches from_rows's checks
+        return cls.from_rows(len(data), widths.pop() if widths else 0, {
+            i: {j: v for j, v in enumerate(row) if v or type(v) is not int}
+            for i, row in enumerate(data)})
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        m = cls.__new__(cls)
-        m.nrows, m.ncols, m.rows = nrows, ncols, {}
+    def from_rows(cls, nrows: int, ncols: int, rows: dict) -> "IntMatrix":
+        """The matrix whose row i is the {column: int} dict ``rows.get(i,
+        {})``.  Checks the shape, indices and entries, drops zeros and
+        stores rows and entries in index order; a row already so is kept,
+        not copied."""
+        if not (type(nrows) is int and type(ncols) is int):
+            raise TypeError(f"shape must be two ints, got {nrows!r} x {ncols!r}")
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"negative shape {nrows} x {ncols}")
+        out = {}
+        for i, row in rows.items():
+            if not (type(i) is int and 0 <= i < nrows):
+                _check_index(i, nrows, "row")
+            prev = -1
+            for j, v in row.items():
+                if not (type(j) is int and type(v) is int and prev < j < ncols and v):
+                    row = _clean_row(row, ncols)
+                    break
+                prev = j
+            if row:
+                out[i] = row
+        m = object.__new__(cls)
+        m.nrows, m.ncols = nrows, ncols
+        m.rows = out if list(out) == sorted(out) else dict(sorted(out.items()))
         return m
 
     @property
@@ -82,27 +99,49 @@ class IntMatrix:
             and self.rows == other.rows
         )
 
+    def __reduce__(self):
+        return IntMatrix.from_rows, (self.nrows, self.ncols, self.rows)
+
     def __repr__(self) -> str:
         return f"IntMatrix(nrows={self.nrows}, ncols={self.ncols}, rows={self.rows!r})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        out = IntMatrix.zeros(self.nrows, other.ncols)
+        out: dict[int, dict[int, int]] = {}
         orows = other.rows
         for i, row in self.rows.items():
-            acc: dict[int, int] = {}
+            acc = out[i] = {}
             for k, a in row.items():
                 if brow := orows.get(k):
                     for j, b in brow.items():
                         acc[j] = acc.get(j, 0) + a * b
-            if nonzero := [(j, v) for j, v in acc.items() if v]:
-                nonzero.sort()
-                out.rows[i] = dict(nonzero)
-        return out
+        return IntMatrix.from_rows(self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
         return not self.rows
+
+
+def _check_index(k, n: int, what: str) -> None:
+    if type(k) is not int:
+        raise TypeError(f"{what} index must be an int, got {k!r}")
+    if not 0 <= k < n:
+        raise ValueError(f"{what} index {k} outside 0..{n - 1}")
+
+
+def _clean_row(row: dict, ncols: int) -> dict[int, int]:
+    """A checked copy of ``row`` without zeros, in column order."""
+    nonzero = []
+    for j, v in row.items():
+        if not (type(j) is int and type(v) is int and 0 <= j < ncols):
+            _check_index(j, ncols, "column")
+            raise TypeError(f"entries must be ints, got {v!r}")
+        if v:
+            nonzero.append((j, v))
+    nonzero.sort()
+    return dict(nonzero)
 
 
 def _coprime_base(values) -> list[int]:
@@ -275,13 +314,15 @@ def smith_normal_form(m: IntMatrix, skip=()) -> tuple[list[int], int, list[int]]
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     ([1, 6], 2, [])
-    >>> smith_normal_form(IntMatrix.zeros(3, 2))
+    >>> smith_normal_form(IntMatrix.from_rows(3, 2, {}))
     ([], 0, [])
     >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
     ([1, 2], 2, [0])
     >>> smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip=[0])
     ([2], 1, [])
     """
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"smith_normal_form takes an IntMatrix, got {type(m).__name__}")
     for j in skip:
         if type(j) is not int:
             raise TypeError(f"skipped column must be an int, got {j!r}")

@@ -368,7 +368,7 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
     for g in elements:
         for x, c in zip(pts, coords):
             if piece_coordinate(horizontal, act_point(g, x)) != piece_action(horizontal, g, c):
-                rep.fail(f"axis projection not equivariant at {g}, {x}")
+                rep.fail(f"horizontal piece coordinate not equivariant at {g}, {x}")
             rep.checks += 1
     translations = [g for g in elements if g.m % 2 == 0]
     base = pts[:9]
@@ -378,17 +378,17 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
         for g in translations:
             rep.checks += 2
             if (piece_action(d, g, 0) == 0) != contains(r, g):
-                rep.fail(f"quotient kernel wrong at rep={r.gen}, g={g}")
+                rep.fail(f"piece action kernel wrong at rep={r.gen}, g={g}")
             for x, c in zip(base, coords):
                 if piece_coordinate(d, act_point(g, x)) != piece_action(d, g, c):
-                    rep.fail(f"line quotient not equivariant at rep={r.gen}, g={g}")
+                    rep.fail(f"flat piece coordinate not equivariant at rep={r.gen}, g={g}")
                 rep.checks += 1
         # the translation (x, 2y) with k*x - a*y = 1 shifts <(a, 2k)>'s piece
         # by 1; unlike a grid search, this witness exists at every --bound
         a, k = r.gen.n, r.gen.m // 2
         x = pow(k, -1, a)
         if piece_action(d, GroupElement(x, 2 * ((k * x - 1) // a)), 0) != 1:
-            rep.fail(f"quotient by {r.gen} misses the unit shift")
+            rep.fail(f"piece action of {r.gen} misses the unit shift")
     return rep
 
 

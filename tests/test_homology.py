@@ -172,11 +172,16 @@ def test_join_sequence_check_passes():
 
 def test_chain_validation():
     with pytest.raises(ValueError, match="chain"):
-        homology_of_chain([IntMatrix.zeros(2, 3), IntMatrix.zeros(4, 1)])
+        homology_of_chain([IntMatrix.from_rows(2, 3, {}), IntMatrix.from_rows(4, 1, {})])
     with pytest.raises(ValueError, match="double boundary"):
         homology_of_chain([IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1], [0]])])
     with pytest.raises(ValueError):
         homology_of_chain([])
+
+
+def test_chain_takes_int_matrices():
+    with pytest.raises(TypeError, match="IntMatrix"):
+        homology_of_chain([[[1]]])
 
 
 def test_chain_by_hand():

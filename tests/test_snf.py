@@ -1,6 +1,7 @@
 """Smith normal form against the determinantal-divisor oracle."""
 
 import copy
+import pickle
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -55,7 +56,7 @@ def oracle_snf(m: IntMatrix):
 def test_known_forms():
     assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])) == ([1, 6], 2, [])
     assert smith_normal_form(IntMatrix([[1, 0], [0, 1]])) == ([1, 1], 2, [0, 1])
-    assert smith_normal_form(IntMatrix.zeros(3, 2)) == ([], 0, [])
+    assert smith_normal_form(IntMatrix.from_rows(3, 2, {})) == ([], 0, [])
     assert smith_normal_form(IntMatrix([[6]])) == ([6], 1, [])
     assert smith_normal_form(IntMatrix([[2, 4], [4, 8]])) == ([2], 1, [])
     # the standard Klein bottle relation matrix
@@ -68,8 +69,8 @@ def test_sign_and_order_insensitivity():
 
 
 def test_empty_and_degenerate_shapes():
-    assert smith_normal_form(IntMatrix.zeros(0, 5)) == ([], 0, [])
-    assert smith_normal_form(IntMatrix.zeros(0, 0)) == ([], 0, [])
+    assert smith_normal_form(IntMatrix.from_rows(0, 5, {})) == ([], 0, [])
+    assert smith_normal_form(IntMatrix.from_rows(0, 0, {})) == ([], 0, [])
     assert smith_normal_form(IntMatrix([[0, 0, 0]])) == ([], 0, [])
 
 
@@ -113,7 +114,7 @@ def test_larger_structured_matrix():
 
 def dense(rows, ncols: int) -> IntMatrix:
     """The matrix of ``rows``, each ``ncols`` wide, with or without rows."""
-    return IntMatrix(rows) if rows else IntMatrix.zeros(0, ncols)
+    return IntMatrix.from_rows(len(rows), ncols, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
 
 
 @st.composite
@@ -321,13 +322,72 @@ def test_matrix_rejects_inexact_ints(entry):
         IntMatrix([[0, entry]])
 
 
+@pytest.mark.parametrize("nrows, ncols, rows, error, match", [
+    (-1, 2, {}, ValueError, "negative shape"),
+    (2, -1, {}, ValueError, "negative shape"),
+    (2.0, 2, {}, TypeError, "shape"),
+    (2, True, {}, TypeError, "shape"),
+    (2, 2, {-1: {0: 1}}, ValueError, "row index -1"),
+    (2, 2, {2: {0: 1}}, ValueError, "row index 2"),
+    (2, 2, {True: {0: 1}}, TypeError, "row index"),
+    (2, 2, {0: {-1: 1}}, ValueError, "column index -1"),
+    (2, 2, {1: {0: 1, 2: 1}}, ValueError, "column index 2"),
+    (2, 2, {0: {False: 1}}, TypeError, "column index"),
+    (2, 2, {0: {0: 1.0}}, TypeError, "entries"),
+    (2, 2, {0: {1: 1, 0: True}}, TypeError, "entries"),
+    (2, 2, {0: {0: 0.0}}, TypeError, "entries"),
+])
+def test_from_rows_rejects_a_bad_shape_index_or_entry(nrows, ncols, rows, error, match):
+    with pytest.raises(error, match=match):
+        IntMatrix.from_rows(nrows, ncols, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_from_rows_in_any_order_is_the_dense_matrix(m, rng):
+    data = m.data
+    rows = [(i, list(enumerate(row))) for i, row in enumerate(data)]
+    for _, entries in rows:
+        rng.shuffle(entries)
+    rng.shuffle(rows)
+    sparse = IntMatrix.from_rows(m.nrows, len(data[0]) if data else 0,
+                                 {i: dict(entries) for i, entries in rows})
+    assert sparse == IntMatrix(data)
+    assert repr(sparse) == repr(IntMatrix(data))
+    assert list(sparse.rows) == sorted(sparse.rows)
+    assert all(list(r) == sorted(r) for r in sparse.rows.values())
+    assert all(r and all(r.values()) for r in sparse.rows.values())
+
+
+def test_from_rows_keeps_a_clean_row():
+    row = {0: 1, 2: -1}
+    assert IntMatrix.from_rows(1, 3, {0: row}).rows[0] is row
+
+
+def test_copies_and_pickles_are_equal():
+    m = IntMatrix([[0, 2, 0], [-1, 0, 3]])
+    for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert other == m and repr(other) == repr(m)
+
+
+def test_matmul_with_a_non_matrix_is_not_implemented():
+    assert IntMatrix([[1]]).__matmul__([[1]]) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        IntMatrix([[1]]) @ [[1]]
+
+
+def test_smith_normal_form_takes_an_int_matrix():
+    with pytest.raises(TypeError, match="IntMatrix"):
+        smith_normal_form([[1, 2]])
+
+
 def test_matmul():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
     assert a @ b == IntMatrix([[2, 1], [4, 3]])
-    assert IntMatrix.zeros(2, 3).is_zero()
+    assert IntMatrix.from_rows(2, 3, {}).is_zero()
     with pytest.raises(ValueError):
-        a @ IntMatrix.zeros(3, 3)
+        a @ IntMatrix.from_rows(3, 3, {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,5 +408,5 @@ def test_matmul_matches_the_dense_product_in_index_order(data):
 def test_repr_is_sparse():
     assert repr(IntMatrix([[0, 2, 0], [0, 0, 0]])) == \
         "IntMatrix(nrows=2, ncols=3, rows={0: {1: 2}})"
-    assert repr(IntMatrix.zeros(10**6, 10**6)) == \
+    assert repr(IntMatrix.from_rows(10**6, 10**6, {})) == \
         "IntMatrix(nrows=1000000, ncols=1000000, rows={})"

@@ -136,15 +136,15 @@ PLANTED = [
         "act_point", (GroupElement(1, 0), PlanePoint(0, 0)),
         lambda p: PlanePoint(p.t, p.r + 1),
         maps_suite, dict(bound=3, rep_bound=1),
-        "axis projection not equivariant at GroupElement(n=1, m=0), "
+        "horizontal piece coordinate not equivariant at GroupElement(n=1, m=0), "
         "PlanePoint(t=Fraction(0, 1), r=Fraction(0, 1))",
         id="equivariant-maps-act_point"),
     pytest.param(
         "piece_coordinate", ((1, 2), PlanePoint(-2, -2)), lambda q: q + 1,
         maps_suite, dict(bound=3, rep_bound=1),
-        "line quotient not equivariant at rep=GroupElement(n=1, m=2), "
+        "flat piece coordinate not equivariant at rep=GroupElement(n=1, m=2), "
         "g=GroupElement(n=-3, m=-2)",
-        id="equivariant-maps-line_quotient"),
+        id="equivariant-maps-flat-piece"),
     pytest.param(
         "contains", (isotropy_group(Line(0, 0)), GroupElement(2, 0)), lambda b: not b,
         isotropy_suite, dict(element_bound=3, line_bound=1),
@@ -161,9 +161,9 @@ PLANTED = [
     pytest.param(
         "piece_coordinate", ((1, 0), PlanePoint(Fraction(1, 2), 1)), lambda r: r + 1,
         maps_suite, dict(bound=3, rep_bound=1),
-        "axis projection not equivariant at GroupElement(n=-3, m=-3), "
+        "horizontal piece coordinate not equivariant at GroupElement(n=-3, m=-3), "
         "PlanePoint(t=Fraction(1, 2), r=Fraction(1, 1))",
-        id="equivariant-maps-axis_projection"),
+        id="equivariant-maps-horizontal-piece"),
     pytest.param(
         "conj", (GroupElement(1, 1), GroupElement(0, 1)),
         lambda c: GroupElement(c.n + 1, c.m),
