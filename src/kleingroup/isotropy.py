@@ -43,8 +43,8 @@ def isotropy_group(line: Line) -> CyclicSubgroup:
 @dataclass(frozen=True)
 class FixedSetDescriptor:
     """The fixed lines of a subgroup: the lines of the primitive
-    ``direction`` (p, q), those with a*p + b*q == 0, or, for a glide, the
-    one vertical ``line`` it flips onto itself.
+    ``direction`` (p, q), q > 0 or (1, 0), with a*p + b*q == 0, or, for a
+    glide, the one vertical ``line`` it flips onto itself.
 
     ``kind`` and ``slope`` are views: "single-point" for a glide,
     "vertical-family" for (0, 1) without a line, else "slope-family" of
@@ -55,10 +55,11 @@ class FixedSetDescriptor:
     line: Line | None = None
 
     def __post_init__(self) -> None:
-        if gcd(*self.direction) != 1 or (self.line is not None and (
-                self.direction != (0, 1) or not self.line.vertical)):
-            raise ValueError("a fixed set is a primitive direction, with a line "
-                             "only for (0, 1) and only a vertical one")
+        p, q = self.direction
+        if gcd(p, q) != 1 or (q <= 0 and (p, q) != (1, 0)) or (self.line is not None and (
+                (p, q) != (0, 1) or not self.line.vertical)):
+            raise ValueError("a fixed set is a primitive direction (p, q) with q > 0, "
+                             "or (1, 0), with a line only for (0, 1) and only a vertical one")
 
     @property
     def kind(self) -> str:

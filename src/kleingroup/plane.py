@@ -11,11 +11,11 @@ The public constructors ``PlanePoint(t, r)`` and ``Line(slope, intercept)``
 validate their inputs.  A point is built only by its constructor, which
 ``act_point`` calls too (25,123 calls in a traced ``verify --suite all``),
 on coordinates it builds as one ``Fraction(numerator, denominator)``
-each.  ``Line.__init__`` normalizes its triple by ``_set_line`` after the
-checks.  ``act_line`` (455,352 calls) sets the slots of a bare instance
-without that routine: the image of a primitive triple under the
-unimodular map (a, b, c) -> (s*a, b, c + s*a*n + b*m) is primitive, so
-only the sign of a vertical line that a glide flips needs restoring.
+each.  ``Line.__init__`` divides its triple, whose signs are already
+normal, by the gcd.  ``act_line`` (455,352 calls) sets the slots of a
+bare instance without that division: the image of a primitive triple
+under the unimodular map (a, b, c) -> (s*a, b, c + s*a*n + b*m) is
+primitive, so only a vertical line a glide flips needs its signs back.
 ``Line`` compares its triples field by field in its own ``__eq__``, as
 ``GroupElement`` does, and hashes the triple.
 """
@@ -69,12 +69,16 @@ class Line:
     def __init__(self, slope, intercept) -> None:
         q = _as_fraction(intercept)
         if slope == VERTICAL:
-            _set_line(self, q.denominator, 0, q.numerator)
+            a, b, c = q.denominator, 0, q.numerator
         else:
             p = _as_fraction(slope)
             # r = p*t + q, cleared of both denominators
-            _set_line(self, -p.numerator * q.denominator, p.denominator * q.denominator,
-                      q.numerator * p.denominator)
+            a, b, c = (-p.numerator * q.denominator, p.denominator * q.denominator,
+                       q.numerator * p.denominator)
+        g = math.gcd(a, b, c)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_c(self, c // g)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -104,17 +108,6 @@ _set_r = PlanePoint.r.__set__
 _set_a = Line.a.__set__
 _set_b = Line.b.__set__
 _set_c = Line.c.__set__
-
-
-def _set_line(line: Line, a: int, b: int, c: int) -> Line:
-    """Make ``line`` the line a*t + b*r = c, normalized, and return it."""
-    g = math.gcd(a, b, c)
-    if b < 0 or (b == 0 and a < 0):
-        g = -g
-    _set_a(line, a // g)
-    _set_b(line, b // g)
-    _set_c(line, c // g)
-    return line
 
 
 def act_point(g: GroupElement, p: PlanePoint) -> PlanePoint:
@@ -148,15 +141,22 @@ def act_line(g: GroupElement, line: Line) -> Line:
 
 @dataclass(frozen=True)
 class LineDistance:
-    """Outcome of the line metric: strip width (squared, exact) and the
-    bounded distance width/(1+width); non-parallel lines sit at distance 1."""
+    """Outcome of the line metric: the exact squared strip width of two
+    parallel lines, None for others.  ``parallel`` and ``value`` are views:
+    the bounded distance width/(1+width), and 1 for non-parallel lines."""
 
     width_sq: Fraction | None
-    value: float
 
     @property
     def parallel(self) -> bool:
         return self.width_sq is not None
+
+    @property
+    def value(self) -> float:
+        if self.width_sq is None:
+            return 1.0
+        width = math.sqrt(min(self.width_sq, 2**1000))  # any wider strip reads 1.0
+        return width / (1 + width)
 
 
 def line_distance(l1: Line, l2: Line) -> LineDistance:
@@ -169,20 +169,15 @@ def line_distance(l1: Line, l2: Line) -> LineDistance:
     0.75
     """
     if l1.a * l2.b != l2.a * l1.b:
-        return LineDistance(None, 1.0)
+        return LineDistance(None)
     # both normals are positive multiples of the primitive (a, b) / d
     d1, d2 = math.gcd(l1.a, l1.b), math.gcd(l2.a, l2.b)
-    width_sq = Fraction((l1.c * d2 - l2.c * d1) ** 2,
-                        d2 * d2 * (l1.a * l1.a + l1.b * l1.b))
-    try:
-        width = math.sqrt(width_sq)
-    except OverflowError:
-        width = math.inf
-    value = width / (1 + width)
-    if width_sq and not 0 < value < 1:
+    d = LineDistance(Fraction((l1.c * d2 - l2.c * d1) ** 2,
+                              d2 * d2 * (l1.a * l1.a + l1.b * l1.b)))
+    if d.width_sq and not 0 < d.value < 1:
         raise ValueError("the distance of distinct parallel lines is not a float "
                          "strictly between 0 and 1 at this strip width")
-    return LineDistance(width_sq, value)
+    return d
 
 
 def stabilizes(g: GroupElement, line: Line) -> bool:

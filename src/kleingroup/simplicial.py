@@ -89,9 +89,12 @@ class SimplicialComplex:
             # combinations(s, d) leaves out s[d], s[d-1], ..., s[0] in turn
             signs = [(-1) ** (d - k) for k in range(d + 1)]
             rows: list[dict[int, int]] = [{} for _ in faces]
-            for j, s in enumerate(cells):
-                for face, sign in zip(combinations(s, d), signs):
-                    rows[index[face]][j] = sign
+            try:
+                for j, s in enumerate(cells):
+                    for face, sign in zip(combinations(s, d), signs):
+                        rows[index[face]][j] = sign
+            except KeyError:
+                raise ValueError(f"closed=True, but face {face!r} of {s!r} is missing") from None
             out.append(IntMatrix.from_rows(len(faces), len(cells), dict(enumerate(rows))))
         return out
 

@@ -65,17 +65,20 @@ class IntMatrix:
         if nrows < 0 or ncols < 0:
             raise ValueError(f"negative shape {nrows} x {ncols}")
         out = {}
-        for i, row in rows.items():
-            if not (type(i) is int and 0 <= i < nrows):
-                _check_index(i, nrows, "row")
-            prev = -1
-            for j, v in row.items():
-                if not (type(j) is int and type(v) is int and prev < j < ncols and v):
-                    row = _clean_row(row, ncols)
-                    break
-                prev = j
-            if row:
-                out[i] = row
+        try:
+            for i, row in rows.items():
+                if not (type(i) is int and 0 <= i < nrows):
+                    _check_index(i, nrows, "row")
+                prev = -1
+                for j, v in row.items():
+                    if not (type(j) is int and type(v) is int and prev < j < ncols and v):
+                        row = _clean_row(row, ncols)
+                        break
+                    prev = j
+                if row:
+                    out[i] = row
+        except AttributeError:
+            raise TypeError("rows must be a {row: {column: int}} dict of dicts") from None
         m = object.__new__(cls)
         m.nrows, m.ncols = nrows, ncols
         m.rows = out if list(out) == sorted(out) else dict(sorted(out.items()))
@@ -140,8 +143,7 @@ def _clean_row(row: dict, ncols: int) -> dict[int, int]:
             raise TypeError(f"entries must be ints, got {v!r}")
         if v:
             nonzero.append((j, v))
-    nonzero.sort()
-    return dict(nonzero)
+    return dict(sorted(nonzero))
 
 
 def _coprime_base(values) -> list[int]:

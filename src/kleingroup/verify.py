@@ -349,17 +349,17 @@ def kn_suite(bound: int = 8) -> SuiteReport:
     return rep
 
 
-def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
+def maps_suite(bound: int = 8) -> SuiteReport:
     """Equivariance of the piece coordinates: the horizontal piece's
-    coordinate intertwines the plane action with the piece action for
-    every element, and each flat piece's coordinate does so for every
-    translation, which shifts it by 0 exactly on the representative.
+    intertwines the plane and piece actions for every element, and those
+    of the 7 flat pieces of flat_representatives(3) for every translation,
+    which shifts a flat coordinate by 0 exactly on the representative.
 
     Both functions are pure, so the coordinates at the fixed points are
     computed once and reused: of each grid point on the horizontal piece,
     and of the 9 base points on each flat piece.  The images
     act_point(g, x) are still mapped per pair."""
-    rep = SuiteReport("equivariant-maps", {"bound": bound, "rep_bound": rep_bound})
+    rep = SuiteReport("equivariant-maps", {"bound": bound})
     elements = _elements(bound)
     grid = fraction_grid(2)
     pts = [PlanePoint(t, r) for t in grid for r in grid]
@@ -372,7 +372,7 @@ def maps_suite(bound: int = 8, rep_bound: int = 3) -> SuiteReport:
             rep.checks += 1
     translations = [g for g in elements if g.m % 2 == 0]
     base = pts[:9]
-    for r in flat_representatives(rep_bound):
+    for r in flat_representatives(3):
         d = fixed_direction(r)
         coords = [piece_coordinate(d, x) for x in base]
         for g in translations:
@@ -410,8 +410,7 @@ def i_complex_suite(bound: int = 6) -> SuiteReport:
             rep.fail(f"act_line disagrees with stabilizes at {line}")
     for s in canonical_subgroups(bound):
         d = fixed_set(s)
-        p, q = d.direction
-        witness = d.line or Line(VERTICAL if p == 0 else Fraction(q, p), 0)
+        witness = d.line or Line(VERTICAL if d.slope is None else d.slope, 0)
         rep.checks += 1
         if not stabilizes(s.gen, witness):
             rep.fail(f"claimed fixed line {witness} not fixed for {s}")

@@ -182,7 +182,7 @@ def test_criterion_09_pushout_and_equivariance(announce):
     if counts[0] != len(flat_representatives(1)):
         failures.append("R pieces disagree with flat_representatives")
 
-    m = maps_suite(bound=8, rep_bound=3)
+    m = maps_suite(bound=8)
     k = kn_suite(bound=8)
     if not m.ok:
         failures.append(f"maps: {m.failures}")

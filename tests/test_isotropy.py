@@ -120,11 +120,14 @@ def test_fixed_set_of_powers_agrees():
 
 
 def test_descriptor_validation():
-    # a primitive direction, with a line only for (0, 1) and only a vertical one
-    for bad in [((2, 4),), ((0, 0),), ((0, 2),),
+    # a primitive direction with q > 0, or (1, 0), as fixed_direction gives;
+    # a line only for (0, 1) and only a vertical one
+    for bad in [((2, 4),), ((0, 0),), ((0, 2),), ((0, -1),), ((-1, 0),), ((3, -2),),
                 ((1, 2), Line(VERTICAL, 0)), ((0, 1), Line(0, 0))]:
         with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
             FixedSetDescriptor(*bad)
+    assert FixedSetDescriptor((2, 1)).slope == Fraction(1, 2)
+    assert FixedSetDescriptor((1, 0)) == fixed_set(subgroup(1, 0))
 
 
 BIG = 10**30

@@ -79,7 +79,7 @@ def test_index_orbits_are_parity_classes():
             assert (piece_action(K, g, n) - n) % 2 == 0
 
 
-def test_axis_projection_equivariance():
+def test_horizontal_piece_coordinate_is_equivariant():
     pts = [PlanePoint(Fraction(p, 2), Fraction(q, 3))
            for p in range(-4, 5) for q in range(-4, 5)]
     for g in ELEMS:
@@ -89,7 +89,7 @@ def test_axis_projection_equivariance():
                 piece_action(H, g, piece_coordinate(H, x))
 
 
-def test_line_quotient_values():
+def test_flat_piece_coordinate_values():
     d = fixed_direction(subgroup(1, 2))
     assert piece_coordinate(d, PlanePoint(Fraction(0), Fraction(2))) == -1
     assert piece_coordinate(d, PlanePoint(Fraction(1), Fraction(2))) == 0
@@ -102,7 +102,7 @@ def test_line_quotient_values():
                             PlanePoint(Fraction(0), Fraction(2))) == 1
 
 
-def test_line_quotient_vanishes_exactly_on_the_line():
+def test_flat_piece_coordinate_vanishes_exactly_on_the_line():
     d = fixed_direction(subgroup(2, 6))  # reduced: gcd(2, 3) = 1
     for k in range(-3, 4):
         p = PlanePoint(Fraction(2 * k), Fraction(6 * k))
@@ -110,7 +110,7 @@ def test_line_quotient_vanishes_exactly_on_the_line():
     assert piece_coordinate(d, PlanePoint(Fraction(1), Fraction(0))) != 0
 
 
-def test_quotient_shift_is_the_cokernel_map():
+def test_flat_piece_action_is_the_cokernel_map():
     rep = subgroup(1, 2)
     d = fixed_direction(rep)
     translations = [g for g in ELEMS if g.m % 2 == 0]
@@ -127,7 +127,7 @@ def test_quotient_shift_is_the_cokernel_map():
     assert 1 in values and -1 in values
 
 
-def test_quotient_shift_rejects_glides():
+def test_flat_piece_action_rejects_glides():
     with pytest.raises(ValueError, match="translation"):
         piece_action(fixed_direction(subgroup(1, 2)), GroupElement(0, 1), 0)
     with pytest.raises(ValueError, match="translation"):
@@ -278,7 +278,7 @@ DIRECTIONS = st.one_of(st.sampled_from([H, K]), REPS.map(fixed_direction))
 
 
 @given(REPS, RATIONALS, RATIONALS)
-def test_line_quotient_matches_its_fraction_form(rep, t, r):
+def test_flat_piece_coordinate_matches_its_fraction_form(rep, t, r):
     a, b = rep.gen.n, rep.gen.m
     q = piece_coordinate(fixed_direction(rep), PlanePoint(t, r))
     assert type(q) is Fraction
@@ -318,7 +318,7 @@ def test_piece_actions_are_the_line_action(g, n, x):
 
 @settings(max_examples=300, deadline=None)
 @given(REPS, TRANSLATIONS, RATIONALS, RATIONALS)
-def test_line_quotient_is_the_parallel_line(rep, g, t, r):
+def test_flat_piece_coordinate_is_the_parallel_line(rep, g, t, r):
     # the coordinate of p is -a/2 times the intercept of the line through
     # p parallel to rep = (a, b); a translation moves that line to the one
     # through g.p, and acts on the coordinate by piece_action

@@ -11,6 +11,7 @@ from kleingroup import (
     GroupElement,
     IDENTITY,
     Line,
+    LineDistance,
     PlanePoint,
     VERTICAL,
     act_line,
@@ -204,6 +205,13 @@ def test_metric_examples():
     assert not d.parallel and d.value == 1.0
     d = line_distance(Line(VERTICAL, Fraction(1)), Line(Fraction(0), Fraction(1)))
     assert not d.parallel and d.value == 1.0
+
+
+def test_distance_is_a_view_of_the_width():
+    assert LineDistance(Fraction(1)).value == 0.5
+    assert LineDistance(None).value == 1.0 and not LineDistance(None).parallel
+    with pytest.raises(TypeError):
+        LineDistance(Fraction(1), 0.3)
 
 
 @given(lines, lines)

@@ -32,6 +32,16 @@ def test_closed_flag_trusts_input():
     assert x.counts() == [2, 1]
 
 
+def test_closed_flag_names_a_missing_face():
+    for simplices, face in [
+        ([(0, 1)], r"\(0,\) of \(0, 1\)"),
+        ([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)], r"\(0, 2\) of \(0, 1, 2\)"),
+    ]:
+        x = SimplicialComplex(simplices, closed=True)
+        with pytest.raises(ValueError, match=rf"closed=True, but face {face} is missing"):
+            x.boundary_matrices()
+
+
 def test_degenerate_rejected():
     with pytest.raises(ValueError, match=r"degenerate simplex \(0, 0, 1\)"):
         SimplicialComplex([(0, 0, 1)])

@@ -336,6 +336,8 @@ def test_matrix_rejects_inexact_ints(entry):
     (2, 2, {0: {0: 1.0}}, TypeError, "entries"),
     (2, 2, {0: {1: 1, 0: True}}, TypeError, "entries"),
     (2, 2, {0: {0: 0.0}}, TypeError, "entries"),
+    (1, 1, [[1]], TypeError, "column: int"),
+    (1, 1, {0: [1]}, TypeError, "column: int"),
 ])
 def test_from_rows_rejects_a_bad_shape_index_or_entry(nrows, ncols, rows, error, match):
     with pytest.raises(error, match=match):

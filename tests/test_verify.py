@@ -8,10 +8,12 @@ import pytest
 from kleingroup import (
     SUITES,
     AffineMap,
+    CommClass,
     FixedSetDescriptor,
     GroupElement,
     Line,
     PlanePoint,
+    VERTICAL,
     isotropy_group,
     run_suite,
     subgroup,
@@ -79,7 +81,7 @@ TINY = {
     fixed_set_suite: dict(gen_bound=2, line_bound=1),
     commensurability_suite: dict(bound=3),
     kn_suite: dict(bound=3),
-    maps_suite: dict(bound=3, rep_bound=1),
+    maps_suite: dict(bound=3),
     i_complex_suite: dict(bound=1),
 }
 SMALL = {
@@ -89,7 +91,7 @@ SMALL = {
     fixed_set_suite: dict(gen_bound=3, line_bound=2),
     commensurability_suite: dict(bound=5),
     kn_suite: dict(bound=4),
-    maps_suite: dict(bound=4, rep_bound=2),
+    maps_suite: dict(bound=4),
     i_complex_suite: dict(bound=3),
 }
 
@@ -135,13 +137,13 @@ PLANTED = [
     pytest.param(
         "act_point", (GroupElement(1, 0), PlanePoint(0, 0)),
         lambda p: PlanePoint(p.t, p.r + 1),
-        maps_suite, dict(bound=3, rep_bound=1),
+        maps_suite, dict(bound=3),
         "horizontal piece coordinate not equivariant at GroupElement(n=1, m=0), "
         "PlanePoint(t=Fraction(0, 1), r=Fraction(0, 1))",
         id="equivariant-maps-act_point"),
     pytest.param(
         "piece_coordinate", ((1, 2), PlanePoint(-2, -2)), lambda q: q + 1,
-        maps_suite, dict(bound=3, rep_bound=1),
+        maps_suite, dict(bound=3),
         "flat piece coordinate not equivariant at rep=GroupElement(n=1, m=2), "
         "g=GroupElement(n=-3, m=-2)",
         id="equivariant-maps-flat-piece"),
@@ -160,7 +162,7 @@ PLANTED = [
         id="representation"),
     pytest.param(
         "piece_coordinate", ((1, 0), PlanePoint(Fraction(1, 2), 1)), lambda r: r + 1,
-        maps_suite, dict(bound=3, rep_bound=1),
+        maps_suite, dict(bound=3),
         "horizontal piece coordinate not equivariant at GroupElement(n=-3, m=-3), "
         "PlanePoint(t=Fraction(1, 2), r=Fraction(1, 1))",
         id="equivariant-maps-horizontal-piece"),
@@ -185,6 +187,43 @@ PLANTED = [
         kn_suite, dict(bound=2),
         "not an action at g=GroupElement(n=1, m=1), h=GroupElement(n=1, m=1), n=-2",
         id="kn-action-mul"),
+    # the commensurability box of 3 holds <(1, 2)> and <(2, 2)>, not <(2, 4)>
+    pytest.param(
+        "commensurable", (subgroup(1, 2), subgroup(2, 2)), lambda b: not b,
+        commensurability_suite, dict(bound=3),
+        "commensurable(GroupElement(n=1, m=2), GroupElement(n=2, m=2)) != oracle False",
+        id="commensurability"),
+    pytest.param(
+        "comm_class", (subgroup(1, 2),), lambda c: CommClass((1, 0)),
+        commensurability_suite, dict(bound=3),
+        "class equality wrong at GroupElement(n=1, m=0), GroupElement(n=1, m=2)",
+        id="commensurability-comm_class"),
+    pytest.param(
+        "contains", (subgroup(1, 2), GroupElement(1, 2)), lambda b: not b,
+        commensurability_suite, dict(bound=3),
+        "contains(GroupElement(n=1, m=2), GroupElement(n=1, m=2)) != True",
+        id="commensurability-contains"),
+    pytest.param(
+        "maximal_containing", (subgroup(1, 2),), lambda m: subgroup(1, 0),
+        commensurability_suite, dict(bound=3),
+        "maximal subgroup not equivariant at t=GroupElement(n=-3, m=-3), "
+        "s=GroupElement(n=-1, m=2)",
+        id="commensurability-maximal_containing"),
+    pytest.param(
+        "isotropy_group", (Line(VERTICAL, Fraction(1, 2)),), lambda s: subgroup(3, 1),
+        kn_suite, dict(bound=3),
+        "stabilizer wrong at g=GroupElement(n=1, m=-3), n=1",
+        id="kn-action-isotropy_group"),
+    pytest.param(
+        "isotropy_group", (Line(0, 0),), lambda s: subgroup(0, 2),
+        i_complex_suite, dict(bound=2),
+        "isotropy generator GroupElement(n=0, m=2) does not stabilize Line(a=0, b=1, c=0)",
+        id="i-complex-isotropy_group"),
+    pytest.param(
+        "contains", (subgroup(1, 2), GroupElement(1, 2)), lambda b: not b,
+        maps_suite, dict(bound=3),
+        "piece action kernel wrong at rep=GroupElement(n=1, m=2), g=GroupElement(n=1, m=2)",
+        id="equivariant-maps-contains"),
 ]
 
 
