@@ -5,6 +5,13 @@ are written "inf".  Every command emits a record with the echoed
 command, normalized inputs, the result payload, and the case that
 fired; --json switches from the one-line text rendering to canonical
 JSON (sorted keys, compact separators), which is byte-deterministic.
+One ``json.JSONEncoder`` writes it: its ``default`` hook, ``_json``,
+gives each library value's form one level deep, and the encoder walks
+the dicts, lists, strings and numbers.
+
+``product`` and ``join`` read the homology of their factors from the
+closed forms in ``homology``, so they build no complex and run no Smith
+normal form; only ``homology --method simplicial`` does.
 
 Exit codes: 0 on success, 1 on a precondition violation (the violated
 precondition is named on stderr) or a failed verification sweep, 2 on
@@ -26,7 +33,13 @@ from fractions import Fraction
 
 from .abelian import AbelianGroup, GradedGroups
 from .core import GroupElement, conj, inv, mul, power
-from .homology import kunneth_join, kunneth_product, model_homology, simplicial_homology
+from .homology import (
+    KNOWN_HOMOLOGY,
+    circles_homology,
+    kunneth_join,
+    kunneth_product,
+    model_homology,
+)
 from .isotropy import FixedSetDescriptor, fixed_set, isotropy_group
 from .models import ModelDescriptor, piece_action, piece_coordinate, piece_text, pushout_report
 from .plane import (
@@ -39,7 +52,6 @@ from .plane import (
     line_distance,
     stabilizes,
 )
-from .simplicial import circle_complex, disjoint_circles, klein_complex, point_complex
 from .subgroups import (
     CommClass,
     CyclicSubgroup,
@@ -81,32 +93,29 @@ def _slope(text: str):
     return _rational(text)
 
 
-_SPACES = {
-    "point": point_complex,
-    "circle": circle_complex,
-    "klein": klein_complex,
-}
-
-
 def _space_name(text: str) -> str:
-    if text in _SPACES or re.fullmatch(r"circles:[1-9]\d*", text):
+    if text in KNOWN_HOMOLOGY or re.fullmatch(r"circles:[1-9]\d*", text):
         return text
     raise argparse.ArgumentTypeError(
         f"unknown space {text!r}; use point, circle, klein, or circles:N"
     )
 
 
-CIRCLES_CAP = 10_000  # circles:N in product and join; its join with K takes 1.3 s
+# circles:N in product and join.  The factors are closed forms, but a
+# result holds N-long torsion tuples: join circles:10000 klein takes about
+# 0.03 s on a 2-vCPU host, and the Kunneth route's 10^6 circles about 4 s
+CIRCLES_CAP = 10_000
 
 
-def _build_space(name: str):
-    if name in _SPACES:
-        return _SPACES[name]()
+def _space_homology(name: str) -> GradedGroups:
+    """The unreduced homology of a named space, from its closed form."""
+    if name in KNOWN_HOMOLOGY:
+        return KNOWN_HOMOLOGY[name]
     digits = name.split(":")[1]
     # no leading zeros, so compare lengths first: int() refuses > 4,300 digits
     if len(digits) > len(str(CIRCLES_CAP)) or int(digits) > CIRCLES_CAP:
         raise ValueError(f"circles:N capped at {CIRCLES_CAP}")
-    return disjoint_circles(int(digits))
+    return circles_homology(int(digits))
 
 
 _KINDS = {"int": int, "rational": _rational, "slope": _slope, "space": _space_name}
@@ -142,21 +151,18 @@ def _piece(c: CommClass) -> dict:
 
 
 def _present(fields: dict) -> dict:
-    """The JSON form of ``fields`` without the entries that are None."""
-    return {k: _json(v) for k, v in fields.items() if v is not None}
+    """``fields`` without the entries that are None."""
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _json(v):
-    """The JSON form of a record value; rationals become "p/q" strings."""
+    """The JSON form of a library value, one level deep; rationals become
+    "p/q" strings.  It is the ``default`` hook of ``_ENCODER``, which walks
+    the dicts, lists, strings and numbers of a record itself and calls
+    back here for every other value, those in a returned form included."""
     match v:
-        case bool() | int() | float() | str() | None:
-            return v
         case Fraction():
             return _fmt_q(v)
-        case dict():
-            return {k: _json(x) for k, x in v.items()}
-        case list() | tuple():
-            return [_json(x) for x in v]
         case GroupElement():
             return {"n": v.n, "m": v.m}
         case PlanePoint():
@@ -164,28 +170,29 @@ def _json(v):
         case Line():
             return {"slope": _fmt_q(v.slope), "intercept": _fmt_q(v.intercept)}
         case CyclicSubgroup():
-            return {"generator": _json(v.gen)}
+            return {"generator": v.gen}
         case CommClass():
             return _present({"tag": v.tag, "representative": v.rep and v.rep.gen})
         case FixedSetDescriptor():
             return _present({"kind": v.kind, "slope": v.slope, "line": v.line})
         case LineDistance():
-            return {"parallel": v.parallel, "width_sq": _json(v.width_sq),
-                    "distance": v.value}
+            return {"parallel": v.parallel, "width_sq": v.width_sq, "distance": v.value}
         case AbelianGroup():
-            return {"rank": v.rank, "torsion": list(v.torsion)}
+            return {"rank": v.rank, "torsion": v.torsion}
         case GradedGroups():
-            groups = {str(n): _json(v[n]) for n in range(max(v.top_degree, 0) + 1)}
+            groups = {str(n): v[n] for n in range(max(v.top_degree, 0) + 1)}
             return {"homology": {"reduced": v.reduced, "groups": groups}, "text": v.text()}
         case ModelDescriptor():
-            return {"kind": v.kind, "base": v.base,
-                    "pieces": [_json(_piece(c)) for c in v.pieces],
-                    "identifications": _json(v.identifications),
-                    "counts": dict(_class_counts(v))}
+            return {"kind": v.kind, "base": v.base, "pieces": [_piece(c) for c in v.pieces],
+                    "identifications": v.identifications, "counts": _class_counts(v)}
         case SuiteReport():
             return {"suite": v.suite, "parameters": v.parameters, "checks": v.checks,
                     "failures": v.failures, "ok": v.ok}
     raise TypeError(f"no JSON form for {type(v).__name__}")
+
+
+# canonical JSON: sorted keys and compact separators, so byte-deterministic
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json)
 
 
 def _text(v) -> str:
@@ -247,7 +254,7 @@ def _command(name: str, help_text: str, params: str = "", options=()):
     (an integer) or ``name:kind`` with a kind of ``_KINDS``; ``options``
     lists its own options as (flag, ``add_argument`` keywords) pairs.  The
     handler takes the parsed arguments and yields (inputs, result,
-    provenance) records of library values, which ``_json`` and ``_text``
+    provenance) records of library values, which ``_ENCODER`` and ``_text``
     encode.
     """
     def register(handler):
@@ -466,16 +473,15 @@ def _h_homology(a):
 
 @_command("product", "homology of a product of named spaces", "left:space right:space")
 def _h_product(a):
-    hx = simplicial_homology(_build_space(a.left))
-    hy = simplicial_homology(_build_space(a.right))
+    hx, hy = _space_homology(a.left), _space_homology(a.right)
     yield ({"left": a.left, "right": a.right}, kunneth_product(hx, hy),
            "product assembled from factor homologies")
 
 
 @_command("join", "homology of a join of named spaces", "left:space right:space")
 def _h_join(a):
-    hx = simplicial_homology(_build_space(a.left)).to_reduced()
-    hy = simplicial_homology(_build_space(a.right)).to_reduced()
+    hx = _space_homology(a.left).to_reduced()
+    hy = _space_homology(a.right).to_reduced()
     yield ({"left": a.left, "right": a.right}, kunneth_join(hx, hy),
            "join assembled from reduced factor homologies")
 
@@ -548,7 +554,7 @@ def _emit(args, inputs, result, provenance) -> None:
         if args.json:
             record = {"command": args.command, "inputs": inputs, "result": result,
                       "provenance": provenance}
-            out = json.dumps(_json(record), sort_keys=True, separators=(",", ":")) + "\n"
+            out = _ENCODER.encode(record) + "\n"
         else:
             out = f"{_text(result)}  [{provenance}]\n"
     finally:

@@ -6,13 +6,19 @@ degree above proves redundant left out (exact once the double boundary
 is checked to be zero); the result is unreduced, and ``.to_reduced()``
 gives the reduced groups.  Homology of a product is assembled from the
 factors by the Kunneth formula; homology of a join by its reduced
-variant, one degree up.  The two routes are kept independent so they
-can check each other.
+variant, one degree up.
+
+The fixed spaces have their homology in closed form, in one table:
+``KNOWN_HOMOLOGY`` for the point, the circle and the Klein bottle, and
+``circles_homology(n)`` for n disjoint circles.  The Kunneth route reads
+only these, so it builds no complex and runs no Smith normal form, and
+it stays independent of the simplicial route it checks; the
+triangulations in ``simplicial`` are the table's oracles in the tests.
 """
 
 from __future__ import annotations
 
-from .abelian import TRIVIAL, AbelianGroup, GradedGroups, Z
+from .abelian import TRIVIAL, AbelianGroup, GradedGroups, Z, Z2
 from .simplicial import SimplicialComplex, disjoint_circles, join, klein_complex
 from .snf import IntMatrix, smith_normal_form
 
@@ -62,6 +68,23 @@ def homology_of_chain(boundaries: list[IntMatrix]) -> GradedGroups:
         torsion = forms[n][0] if n < len(forms) else []
         groups.append(AbelianGroup(free, tuple(d for d in torsion if d > 1)))
     return GradedGroups(tuple(groups))
+
+
+def circles_homology(n: int) -> GradedGroups:
+    """Unreduced homology of n disjoint circles: Z^n in degrees 0 and 1.
+
+    >>> circles_homology(3).text()
+    'H_0 = Z^3, H_1 = Z^3'
+    """
+    return GradedGroups((AbelianGroup(n), AbelianGroup(n)))
+
+
+# unreduced homology of the fixed spaces, by name
+KNOWN_HOMOLOGY = {
+    "point": GradedGroups((Z,)),
+    "circle": circles_homology(1),
+    "klein": GradedGroups((Z, Z.direct_sum(Z2))),
+}
 
 
 def simplicial_homology(x: SimplicialComplex) -> GradedGroups:
@@ -139,22 +162,20 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     with the Klein bottle.  That is a join of quotients, not the
     quotient of the truncated join model.
 
-    method "kunneth" assembles it from the factor homologies: the
-    circles' in closed form (reduced Z^(N-1) in degree 0 and Z^N in
-    degree 1 for N circles) and the Klein bottle's from its
-    triangulation, capped at ``KUNNETH_CAP`` = 10^6 circles;
-    method "simplicial" triangulates the join and runs the boundary
-    matrices, capped at ``SIMPLICIAL_CAP`` = 4 circles to keep matrix
-    sizes sane.
+    method "kunneth" assembles it by ``kunneth_join`` from the closed
+    forms ``circles_homology(circles)`` and ``KNOWN_HOMOLOGY["klein"]``
+    alone, with no complex and no Smith normal form, capped at
+    ``KUNNETH_CAP`` = 10^6 circles; method "simplicial" triangulates the
+    join and runs the boundary matrices, capped at ``SIMPLICIAL_CAP`` = 4
+    circles to keep matrix sizes sane.
     """
     if circles < 1:
         raise ValueError("need at least one circle")
     if method == "kunneth":
         if circles > KUNNETH_CAP:
             raise ValueError(f"kunneth method capped at {KUNNETH_CAP} circles")
-        hx = GradedGroups((AbelianGroup(circles - 1), AbelianGroup(circles)), reduced=True)
-        hk = simplicial_homology(klein_complex()).to_reduced()
-        return kunneth_join(hx, hk).to_unreduced()
+        hx = circles_homology(circles).to_reduced()
+        return kunneth_join(hx, KNOWN_HOMOLOGY["klein"].to_reduced()).to_unreduced()
     if method == "simplicial":
         if circles > SIMPLICIAL_CAP:
             raise ValueError(f"simplicial method capped at {SIMPLICIAL_CAP} circles")
@@ -165,6 +186,8 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
 __all__ = [
     "homology_of_chain",
     "simplicial_homology",
+    "circles_homology",
+    "KNOWN_HOMOLOGY",
     "kunneth_product",
     "kunneth_join",
     "join_sequence_check",

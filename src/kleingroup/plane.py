@@ -142,10 +142,19 @@ def act_line(g: GroupElement, line: Line) -> Line:
 @dataclass(frozen=True)
 class LineDistance:
     """Outcome of the line metric: the exact squared strip width of two
-    parallel lines, None for others.  ``parallel`` and ``value`` are views:
-    the bounded distance width/(1+width), and 1 for non-parallel lines."""
+    parallel lines, a nonnegative Fraction, and None for others.
+    ``parallel`` and ``value`` are views: the bounded distance
+    width/(1+width), and 1 for non-parallel lines."""
 
     width_sq: Fraction | None
+
+    def __post_init__(self) -> None:
+        w = self.width_sq
+        if w is not None:
+            if type(w) is not Fraction:
+                raise TypeError(f"width_sq must be a Fraction or None, got {w!r}")
+            if w < 0:
+                raise ValueError(f"width_sq must be nonnegative, got {w}")
 
     @property
     def parallel(self) -> bool:

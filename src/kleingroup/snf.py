@@ -16,13 +16,15 @@ The order is part of the result.  ``IntMatrix.from_rows``, which builds
 every matrix, checks its input and stores rows, and the entries within
 a row, in ascending index order.  The pivot search takes the first unit
 in that order, so another order could pick other pivots and report
-another unit prefix, though never other invariant factors.
+another unit prefix, though never other invariant factors.  A product
+``a @ b`` drops each sum that cancels to zero as it accumulates, so the
+double boundary of a chain complex reaches ``from_rows`` as no rows.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
 operations and the balanced division written out in it; the row
 operation is written twice, once in the unit step and once for the
 other pivots.
-``smith_normal_form(m, skip)`` leaves out the columns in ``skip`` and
+``smith_normal_form(m, skip)`` copies only the columns not in ``skip`` and
 always returns ``(factors, rank, unit_rows)``, the last the pivot rows
 of its unit prefix, so that ``homology_of_chain`` can leave out the
 columns those rows index in the boundary one degree down (clearing).
@@ -113,14 +115,21 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        # a sum that cancels to zero leaves its row at once, so a zero
+        # product, such as a double boundary, hands from_rows no rows
         out: dict[int, dict[int, int]] = {}
         orows = other.rows
         for i, row in self.rows.items():
-            acc = out[i] = {}
+            acc = {}
             for k, a in row.items():
                 if brow := orows.get(k):
                     for j, b in brow.items():
-                        acc[j] = acc.get(j, 0) + a * b
+                        if s := acc.get(j, 0) + a * b:
+                            acc[j] = s
+                        else:
+                            del acc[j]
+            if acc:
+                out[i] = acc
         return IntMatrix.from_rows(self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
@@ -220,16 +229,15 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     step that starts at a larger pivot and hands over to a unit has mixed
     rows, so the prefix ends there even though it pops 1.
     """
-    rows = {i: dict(r) for i, r in m.rows.items()}
+    skip = set(skip)
+    rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = defaultdict(set)
-    for i, r in rows.items():
-        for j in r:
-            cols[j].add(i)
-    for j in skip:
-        for i in cols.pop(j, ()):
-            del rows[i][j]
-            if not rows[i]:
-                del rows[i]
+    for i, r in m.rows.items():
+        # copy only the kept columns
+        if kept := {j: v for j, v in r.items() if j not in skip} if skip else dict(r):
+            rows[i] = kept
+            for j in kept:
+                cols[j].add(i)
 
     moduli: list[int] = []
     unit_rows: list[int] = []

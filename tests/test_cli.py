@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from kleingroup import (
     join,
     klein_complex,
     point_complex,
+    product,
     pushout_report,
     simplicial_homology,
 )
@@ -271,8 +273,8 @@ def test_pushout_report_cap_exits_1(capsys):
 
 @pytest.mark.parametrize("command", ["product", "join"])
 def test_space_circles_cap_exits_1(command, capsys):
-    # circles:30000 took 6 s; circles:100000000 raised MemoryError under a
-    # 2 GiB memory limit; int() refuses more than 4,300 digits
+    # a result holds N-long torsion tuples, so N stays capped; int()
+    # refuses more than 4,300 digits
     for space in ("circles:10001", "circles:100000000", "circles:" + "9" * 4301):
         code, out, err = run_cli([command, space, "klein"], capsys)
         assert code == 1, space
@@ -551,20 +553,51 @@ def test_product_and_join_commands(capsys):
     assert exc.value.code == 2
 
 
-# the spaces of the join command, built by the library's own constructors
-JOIN_SPACES = {"point": point_complex(), "circle": circle_complex(),
-               "klein": klein_complex(), "circles:2": disjoint_circles(2)}
+# the spaces of the product and join commands, built by the library's own
+# constructors
+SPACES = {"point": point_complex(), "circle": circle_complex(),
+          "klein": klein_complex(), "circles:2": disjoint_circles(2)}
 
 
-@pytest.mark.parametrize("right", JOIN_SPACES)
-@pytest.mark.parametrize("left", JOIN_SPACES)
-def test_join_matches_the_triangulated_join(left, right, capsys):
-    # the CLI assembles a join by Kunneth from reduced factor homologies;
-    # the triangulated join is the independent route
-    code, out, _ = run_cli(["join", left, right, "--json"], capsys)
-    assert code == 0
-    h = simplicial_homology(join(JOIN_SPACES[left], JOIN_SPACES[right])).to_reduced()
+def graded_json(h):
     groups = {str(n): {"rank": h[n].rank, "torsion": list(h[n].torsion)}
               for n in range(max(h.top_degree, 0) + 1)}
-    assert json.loads(out)["result"] == {"homology": {"reduced": True, "groups": groups},
-                                         "text": h.text()}
+    return {"homology": {"reduced": h.reduced, "groups": groups}, "text": h.text()}
+
+
+@pytest.mark.parametrize("right", SPACES)
+@pytest.mark.parametrize("left", SPACES)
+def test_join_matches_the_triangulated_join(left, right, capsys):
+    # the CLI assembles a join by Kunneth from the reduced closed forms of
+    # its factors; the triangulated join is the independent route
+    code, out, _ = run_cli(["join", left, right, "--json"], capsys)
+    assert code == 0
+    h = simplicial_homology(join(SPACES[left], SPACES[right])).to_reduced()
+    assert json.loads(out)["result"] == graded_json(h)
+
+
+@pytest.mark.parametrize("right", SPACES)
+@pytest.mark.parametrize("left", SPACES)
+def test_product_matches_the_triangulated_product(left, right, capsys):
+    # the CLI assembles a product by Kunneth from the closed forms of its
+    # factors; the triangulated product is the independent route
+    code, out, _ = run_cli(["product", left, right, "--json"], capsys)
+    assert code == 0
+    h = simplicial_homology(product(SPACES[left], SPACES[right]))
+    assert json.loads(out)["result"] == graded_json(h)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["join", "circles:10000", "klein"], "~H_3 = Z^10000 + Z_2^10000"),
+    (["product", "circles:10000", "klein"], "H_0 = Z^10000, "),
+])
+def test_circles_at_the_cap_build_no_complex(argv, text, capsys):
+    # the factors are closed forms, so the cap costs no triangulation and
+    # no Smith normal form; triangulated, each took over half a second on a
+    # 2-vCPU host
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and text in out
+    assert elapsed < 0.2, f"{argv} took {elapsed:.2f} s"

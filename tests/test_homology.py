@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleingroup import (
+    KNOWN_HOMOLOGY,
     AbelianGroup,
     GradedGroups,
     IntMatrix,
@@ -13,6 +14,7 @@ from kleingroup import (
     Z,
     Z2,
     circle_complex,
+    circles_homology,
     disjoint_circles,
     disjoint_union,
     homology_of_chain,
@@ -27,6 +29,8 @@ from kleingroup import (
     simplicial_homology,
     smith_normal_form,
 )
+from kleingroup import homology
+from kleingroup.cli import main
 
 
 def test_point():
@@ -55,6 +59,32 @@ def test_klein_bottle():
     h = simplicial_homology(klein_complex())
     assert h == GradedGroups((Z, AbelianGroup(1, (2,))))
     assert h[2] == TRIVIAL
+
+
+@pytest.mark.parametrize("name, space", [
+    ("point", point_complex()), ("circle", circle_complex()), ("klein", klein_complex()),
+])
+def test_known_homology_matches_the_triangulation(name, space):
+    assert KNOWN_HOMOLOGY[name] == simplicial_homology(space)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_circles_homology_matches_the_triangulation(n):
+    assert circles_homology(n) == simplicial_homology(disjoint_circles(n))
+
+
+def test_closed_forms_run_no_smith_normal_form(monkeypatch, capsys):
+    # the Kunneth route and the product and join commands read the closed
+    # forms alone; only the simplicial route reduces a boundary
+    def refuse(*args):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(homology, "smith_normal_form", refuse)
+    assert model_homology(5)[3] == AbelianGroup(5, (2,) * 5)
+    for argv in (["product", "klein", "circles:3"], ["join", "point", "klein"]):
+        assert main(argv) == 0
+    with pytest.raises(AssertionError, match="smith_normal_form called"):
+        model_homology(1, method="simplicial")
 
 
 def test_sphere_as_join():
@@ -177,6 +207,18 @@ def test_chain_validation():
         homology_of_chain([IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1], [0]])])
     with pytest.raises(ValueError):
         homology_of_chain([])
+
+
+def test_chain_rejects_a_double_boundary_with_one_nonzero_entry():
+    # the triangle's boundaries, edges 01, 02, 12 and the face 012; putting
+    # vertex 0 on edge 12 too leaves one nonzero sum, reached through zero
+    d2 = IntMatrix([[1], [-1], [1]])
+    assert homology_of_chain([IntMatrix([[-1, -1, 0], [1, 0, -1], [0, 1, 1]]), d2]) == \
+        GradedGroups((Z,))
+    d1 = IntMatrix([[-1, -1, 1], [1, 0, -1], [0, 1, 1]])
+    assert (d1 @ d2).rows == {0: {0: 1}}
+    with pytest.raises(ValueError, match="double boundary"):
+        homology_of_chain([d1, d2])
 
 
 def test_chain_takes_int_matrices():

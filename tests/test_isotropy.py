@@ -126,8 +126,16 @@ def test_descriptor_validation():
                 ((1, 2), Line(VERTICAL, 0)), ((0, 1), Line(0, 0))]:
         with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
             FixedSetDescriptor(*bad)
+    with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
+        FixedSetDescriptor((0, 1, 0))
+    # a direction that is not a tuple of ints could be neither equal to a
+    # checked one nor hashed
+    for bad in [[2, 1], (2.0, 1), (True, 1), (Fraction(2), 1), "21", None]:
+        with pytest.raises(TypeError, match="direction must be a tuple of ints"):
+            FixedSetDescriptor(bad)
     assert FixedSetDescriptor((2, 1)).slope == Fraction(1, 2)
     assert FixedSetDescriptor((1, 0)) == fixed_set(subgroup(1, 0))
+    assert hash(FixedSetDescriptor((1, 2))) == hash(fixed_set(subgroup(2, 4)))
 
 
 BIG = 10**30

@@ -1,6 +1,7 @@
 """Plane action, line action, the line metric, and freeness."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,16 @@ def test_distance_is_a_view_of_the_width():
     assert LineDistance(None).value == 1.0 and not LineDistance(None).parallel
     with pytest.raises(TypeError):
         LineDistance(Fraction(1), 0.3)
+
+
+def test_distance_takes_only_a_nonnegative_fraction_or_none():
+    assert LineDistance(Fraction(0)).value == 0.0
+    for bad in [0.25, 1, True, "1/4", Decimal(1)]:
+        with pytest.raises(TypeError, match="width_sq must be a Fraction or None"):
+            LineDistance(bad)
+    for bad in [Fraction(-1), Fraction(-1, 10**30)]:
+        with pytest.raises(ValueError, match="width_sq must be nonnegative"):
+            LineDistance(bad)
 
 
 @given(lines, lines)

@@ -407,6 +407,31 @@ def test_matmul_matches_the_dense_product_in_index_order(data):
     assert all(list(r) == sorted(r) for r in p.rows.values())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matmul_with_cancelling_sums_matches_the_dense_product(data):
+    # a = [x | x | y] and b = [u; -u; v]: every sum over the first two
+    # blocks cancels, so the product is y @ v, often zero, with many of
+    # its entries reached through running sums that pass through zero
+    nr, nk, nl, nc = (data.draw(st.integers(0, 5)) for _ in range(4))
+    entry = st.integers(-3, 3)
+
+    def block(r, c):
+        return data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+
+    x, y, u, v = block(nr, nk), block(nr, nl), block(nk, nc), block(nl, nc)
+    a = [xr + xr + yr for xr, yr in zip(x, y)]
+    b = u + [[-e for e in r] for r in u] + v
+    product = [[sum(y[i][k] * v[k][j] for k in range(nl)) for j in range(nc)]
+               for i in range(nr)]
+    p = dense(a, 2 * nk + nl) @ dense(b, nc)
+    assert p == dense(product, nc)
+    assert p.is_zero() == (not any(map(any, product)))
+    assert list(p.rows) == sorted(p.rows)
+    assert all(r and list(r) == sorted(r) for r in p.rows.values())
+
+
 def test_repr_is_sparse():
     assert repr(IntMatrix([[0, 2, 0], [0, 0, 0]])) == \
         "IntMatrix(nrows=2, ncols=3, rows={0: {1: 2}})"
