@@ -117,6 +117,11 @@ class GradedGroups:
 
     def __post_init__(self) -> None:
         gs = tuple(self.groups)
+        for g in gs:
+            if not isinstance(g, AbelianGroup):
+                raise TypeError(f"groups must be AbelianGroup values, got {g!r}")
+        if type(self.reduced) is not bool:
+            raise TypeError(f"reduced must be a bool, got {self.reduced!r}")
         while gs and gs[-1].is_trivial:
             gs = gs[:-1]
         object.__setattr__(self, "groups", gs)

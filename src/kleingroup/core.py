@@ -138,8 +138,14 @@ class AffineMap:
     shift_y: Fraction
 
     def __post_init__(self) -> None:
+        # exact types: a bool or a float is neither a sign nor an exact shift
+        if type(self.sign) is not int:
+            raise TypeError(f"sign must be the int 1 or -1, got {self.sign!r}")
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise ValueError(f"sign must be the int 1 or -1, got {self.sign!r}")
+        for shift in (self.shift_x, self.shift_y):
+            if type(shift) is not int and type(shift) is not Fraction:
+                raise TypeError(f"shifts must be ints or Fractions, got {shift!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

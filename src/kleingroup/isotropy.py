@@ -58,6 +58,8 @@ class FixedSetDescriptor:
         d = self.direction
         if type(d) is not tuple or not all(type(x) is int for x in d):
             raise TypeError(f"direction must be a tuple of ints, got {d!r}")
+        if self.line is not None and not isinstance(self.line, Line):
+            raise TypeError(f"line must be a Line or None, got {self.line!r}")
         p, q = d if len(d) == 2 else (0, 0)  # no other length is a direction
         if gcd(p, q) != 1 or (q <= 0 and (p, q) != (1, 0)) or (self.line is not None and (
                 (p, q) != (0, 1) or not self.line.vertical)):

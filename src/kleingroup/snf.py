@@ -21,9 +21,9 @@ another unit prefix, though never other invariant factors.  A product
 double boundary of a chain complex reaches ``from_rows`` as no rows.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
-operations and the balanced division written out in it; the row
-operation is written twice, once in the unit step and once for the
-other pivots.
+operation and the balanced division written out in it.  One pass over
+the pivot's column, with one copy of the row operation, serves every
+pivot; a unit differs only in its quotient and in how its row leaves.
 ``smith_normal_form(m, skip)`` copies only the columns not in ``skip`` and
 always returns ``(factors, rank, unit_rows)``, the last the pivot rows
 of its unit prefix, so that ``homology_of_chain`` can leave out the
@@ -217,17 +217,20 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     ``skip``; return the positive diagonal entries (not yet chained) and
     the unit-prefix rows.
 
-    A unit pivot p = +-1 subtracts a * p times its row from each row
-    with an entry a in its column, which clears the column in one pass;
-    then the pivot row is dropped whole, as every remainder mod 1 is 0.
-    A larger pivot is flipped to be positive; row operations clear its
-    column up to balanced remainders, and a nonzero one takes over as
-    pivot; then each other entry of the pivot row becomes its balanced
-    remainder modulo the pivot, and a nonzero one takes over again.  The
-    unit prefix is the run of steps before any pivot held a value other
-    than +-1; its rows are returned in the order they were popped.  A
-    step that starts at a larger pivot and hands over to a unit has mixed
-    rows, so the prefix ends there even though it pops 1.
+    Each step makes one pass over its pivot's column: every other row
+    with an entry a there loses q times the pivot row.  A unit pivot
+    p = +-1 takes q = a * p, which clears the column exactly, so no row
+    takes over; its row and column entry leave before the pass, and its
+    other entries leave with it, unflipped and unswept, as every
+    remainder mod 1 is 0.  A larger pivot is flipped to be positive and
+    takes the balanced quotient, which leaves remainders in (-p/2, p/2],
+    and a nonzero one takes over as pivot; then each other entry of the
+    pivot row becomes its balanced remainder modulo the pivot, and a
+    nonzero one takes over again.  The unit prefix is the run of steps
+    before any pivot held a value other than +-1; its rows are returned
+    in the order they were popped.  A step that starts at a larger pivot
+    and hands over to a unit has mixed rows, so the prefix ends there
+    even though it pops 1.
     """
     skip = set(skip)
     rows: dict[int, dict[int, int]] = {}
@@ -247,42 +250,23 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
         while True:
             prow = rows[pi]
             p = prow[pj]
-            if p == 1 or p == -1:
-                # q = a * p clears each entry of the column exactly, so
-                # nothing is handed over and the row leaves unflipped
+            if unit := p == 1 or p == -1:
+                # no row operation touches column pj once prow lacks it,
+                # so the pass can walk the popped column itself
                 del rows[pi], prow[pj]
-                for i in cols.pop(pj):
-                    if i != pi:
-                        row = rows[i]
-                        q = row.pop(pj) * p
-                        # row i -= q * row pi
-                        for j, v in prow.items():
-                            if j not in row:
-                                row[j] = -q * v
-                                cols[j].add(i)
-                            elif new := row[j] - q * v:
-                                row[j] = new
-                            else:
-                                del row[j]
-                                cols[j].discard(i)
-                        if not row:
-                            del rows[i]
-                for j in prow:
-                    cols[j].discard(pi)
-                moduli.append(1)
-                if units:
-                    unit_rows.append(pi)
-                break
-            units = False
-            if p < 0:
-                p = -p
-                prow = rows[pi] = {j: -v for j, v in prow.items()}
-            # q = round(a / p), halves rounding down, leaves a - q*p in
-            # (-p/2, p/2]
-            p2 = 2 * p
-            for i in [i for i in cols[pj] if i != pi]:
+                (others := cols.pop(pj)).discard(pi)
+            else:
+                units = False
+                if p < 0:
+                    p = -p
+                    prow = rows[pi] = {j: -v for j, v in prow.items()}
+                p2 = 2 * p
+                others = [i for i in cols[pj] if i != pi]
+            for i in others:
                 row = rows[i]
-                if q := (2 * row[pj] + p - 1) // p2:
+                # q = a * p for a unit, else q = round(a / p), halves
+                # rounding down, which leaves a - q*p in (-p/2, p/2]
+                if q := row.pop(pj) * p if unit else (2 * row[pj] + p - 1) // p2:
                     # row i -= q * row pi
                     for j, v in prow.items():
                         if j not in row:
@@ -296,10 +280,18 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
                     if not row:
                         del rows[i]
                         continue
-                if pj in row:
+                if not unit and pj in row:
                     pi = i
                     break
             else:
+                if unit:
+                    # every remainder mod 1 is 0: the row leaves as it is
+                    for j in prow:
+                        cols[j].discard(pi)
+                    moduli.append(1)
+                    if units:
+                        unit_rows.append(pi)
+                    break
                 for j in [j for j in prow if j != pj]:
                     v = prow[j]
                     if r := v - (2 * v + p - 1) // p2 * p:

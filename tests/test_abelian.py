@@ -112,6 +112,17 @@ def test_graded_normalization():
     assert g == GradedGroups((Z, Z2))
 
 
+def test_graded_validation():
+    for groups in ([1, 2], (Z, 0), (Z, "Z"), (None,), ((1, ()),)):
+        with pytest.raises(TypeError, match="groups must be AbelianGroup values"):
+            GradedGroups(groups)
+    for reduced in ("yes", 1, 0, None):
+        with pytest.raises(TypeError, match="reduced must be a bool"):
+            GradedGroups((Z,), reduced=reduced)
+    # any iterable of groups is kept as a tuple
+    assert GradedGroups([Z, Z2]) == GradedGroups((Z, Z2))
+
+
 def test_graded_reduction_round_trip():
     g = GradedGroups((AbelianGroup(1), AbelianGroup(1, (2,))))
     r = g.to_reduced()

@@ -199,8 +199,17 @@ def test_operation_results_are_public_values(same_value, g, h, x):
 
 
 def test_affine_sign_validation():
-    with pytest.raises(ValueError):
-        AffineMap(2, 0, 0)
+    for sign in (2, 0, -2):
+        with pytest.raises(ValueError, match="sign must be the int 1 or -1"):
+            AffineMap(sign, 0, 0)
+    # exact types: a bool or a float is neither a sign nor an exact shift
+    for sign in (True, 1.0, -1.0, Fraction(1), "1", None):
+        with pytest.raises(TypeError, match="sign must be the int 1 or -1"):
+            AffineMap(sign, 0, 0)
+    for shifts in ((0.5, 0), (0, "x"), (True, 0), (0, False), (1.0, 0), (0, None)):
+        with pytest.raises(TypeError, match="shifts must be ints or Fractions"):
+            AffineMap(1, *shifts)
+    assert AffineMap(-1, Fraction(1, 2), 3).apply(0, 0) == (Fraction(1, 2), 3)
 
 
 # equality, written field by field, must agree with comparing the tuples

@@ -133,6 +133,9 @@ def test_descriptor_validation():
     for bad in [[2, 1], (2.0, 1), (True, 1), (Fraction(2), 1), "21", None]:
         with pytest.raises(TypeError, match="direction must be a tuple of ints"):
             FixedSetDescriptor(bad)
+    for bad in [5, (0, 1), "t = 0", VERTICAL]:
+        with pytest.raises(TypeError, match="line must be a Line or None"):
+            FixedSetDescriptor((0, 1), bad)
     assert FixedSetDescriptor((2, 1)).slope == Fraction(1, 2)
     assert FixedSetDescriptor((1, 0)) == fixed_set(subgroup(1, 0))
     assert hash(FixedSetDescriptor((1, 2))) == hash(fixed_set(subgroup(2, 4)))

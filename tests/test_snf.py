@@ -1,6 +1,7 @@
 """Smith normal form against the determinantal-divisor oracle."""
 
 import copy
+import functools
 import pickle
 import random
 from collections import defaultdict
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleingroup import IntMatrix, invariant_factor_chain, smith_normal_form
+from kleingroup import (
+    IntMatrix,
+    disjoint_circles,
+    invariant_factor_chain,
+    join,
+    klein_complex,
+    product,
+    smith_normal_form,
+)
+from test_homology import scrambled_complex
 
 
 def minor_gcds(m: IntMatrix):
@@ -230,6 +240,93 @@ def unit_heavy(draw):
 def test_matches_the_elimination_without_a_unit_step(case):
     m, skip = case
     assert smith_normal_form(m, skip) == reference_moduli(m, skip)
+
+
+MODEL_SPACES = [f"join-{n}" for n in range(1, 9)] + ["product-1", "product-2"]
+
+
+@functools.cache
+def model_boundaries(space: str) -> list[IntMatrix]:
+    """The boundaries of the join ("join-N") or the product ("product-N")
+    of N disjoint circles with the Klein bottle."""
+    kind, n = space.split("-")
+    build = join if kind == "join" else product
+    return build(disjoint_circles(int(n)), klein_complex()).boundary_matrices()
+
+
+@pytest.mark.parametrize("space", MODEL_SPACES)
+def test_model_boundaries_match_the_elimination_without_a_unit_step(space):
+    # each boundary with the columns homology_of_chain leaves out: nearly
+    # every pivot of a triangulation is a unit, so these pin the pivot
+    # sequence over thousands of unit steps, and every boundary has a
+    # unit prefix
+    cleared = []
+    for b in reversed(model_boundaries(space)):
+        form = smith_normal_form(b, cleared)
+        assert form == reference_moduli(b, cleared)
+        cleared = form[2]
+        assert cleared or b.ncols == 0
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """The rank of m over F_p, from ``m.rows`` alone: each row is reduced
+    by the pivot rows found so far, each keyed by its leading column and
+    scaled to lead with 1, until it vanishes or leads at a new column and
+    becomes a pivot row itself."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in m.rows.values():
+        row = {j: v % p for j, v in r.items() if v % p}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inverse = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inverse % p for j, v in row.items()}
+                break
+            c = row[lead]
+            for j, v in prow.items():
+                if w := (row.get(j, 0) - c * v) % p:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 2**61 - 1)
+
+
+def primes_dividing_a_factor(m: IntMatrix) -> set[int]:
+    """Checks that over F_p, for each p in PRIMES, m has as its rank the
+    number of its invariant factors that p does not divide, and returns
+    the primes that divide one of them."""
+    factors = smith_normal_form(m)[0]
+    for p in PRIMES:
+        assert rank_mod_p(m, p) == sum(1 for d in factors if d % p), (m.nrows, m.ncols, p)
+    return {p for p in PRIMES if any(d % p == 0 for d in factors)}
+
+
+def test_rank_mod_p():
+    m = IntMatrix([[2, 4], [6, 3], [0, 0]])  # invariant factors 1, 18
+    assert [rank_mod_p(m, p) for p in (2, 3, 5)] == [1, 1, 2]
+    assert rank_mod_p(IntMatrix.from_rows(2, 3, {}), 7) == 0
+
+
+@pytest.mark.parametrize("space", MODEL_SPACES)
+def test_model_boundaries_agree_with_ranks_mod_p(space):
+    # an oracle that shares no code with the elimination and scales to any
+    # size (Dumas, Saunders and Villard, J. Symbolic Comput. 2001); a
+    # triangulation's boundaries have only the factors 1 and 2
+    assert set().union(*map(primes_dividing_a_factor, model_boundaries(space))) <= {2}
+
+
+def test_scrambled_boundaries_agree_with_ranks_mod_p():
+    rng = random.Random(16)
+    divided = set()
+    for _ in range(300):
+        for b in scrambled_complex(rng, ranks=(6, 10))[0]:
+            divided |= primes_dividing_a_factor(b)
+    # every small prime divides some factor, so each is a real test
+    assert divided == set(PRIMES[:-1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from kleingroup import (
     CommClass,
     FixedSetDescriptor,
     GroupElement,
+    IDENTITY,
     Line,
     PlanePoint,
     VERTICAL,
@@ -224,6 +225,23 @@ PLANTED = [
         maps_suite, dict(bound=3),
         "piece action kernel wrong at rep=GroupElement(n=1, m=2), g=GroupElement(n=1, m=2)",
         id="equivariant-maps-contains"),
+    pytest.param(
+        "piece_action", ((0, 1), IDENTITY, 0), lambda n: n + 1,
+        kn_suite, dict(bound=3),
+        "identity moves index 0",
+        id="kn-action-identity"),
+    # (0, -2) lies outside the box of 1, so the kernel check cannot see it
+    pytest.param(
+        "piece_action", ((1, 2), GroupElement(0, -2), 0), lambda v: v - 1,
+        maps_suite, dict(bound=1),
+        "piece action of GroupElement(n=1, m=2) misses the unit shift",
+        id="equivariant-maps-unit-shift"),
+    pytest.param(
+        "act_point", (GroupElement(1, 0), PlanePoint(0, 0)),
+        lambda p: PlanePoint(p.t, p.r + 1),
+        representation_suite, dict(bound=3),
+        "affine map disagrees with the action at GroupElement(n=1, m=0)",
+        id="representation-act_point"),
 ]
 
 
@@ -237,6 +255,32 @@ def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwar
         return wrong(out) if args == at else out
 
     monkeypatch.setattr(verify, name, faulty)
+    rep = suite(**kwargs)
+    assert not rep.ok
+    assert rep.failures[0] == first
+
+
+# A wrong method or constant, which a suite reads as an attribute rather
+# than call by name: plant(real) is what replaces it on its owner.
+PLANTED_ATTRIBUTES = [
+    pytest.param(
+        GroupElement, "is_identity",
+        lambda real: lambda g: g == GroupElement(0, 2) or real(g),
+        representation_suite, dict(bound=3),
+        "faithfulness fails at GroupElement(n=0, m=2)",
+        id="representation-is_identity"),
+    pytest.param(
+        verify, "AFFINE_IDENTITY", lambda real: AffineMap(1, 1, 0),
+        representation_suite, dict(bound=3),
+        "identity map not recognized",
+        id="representation-AFFINE_IDENTITY"),
+]
+
+
+@pytest.mark.parametrize("owner, name, plant, suite, kwargs, first", PLANTED_ATTRIBUTES)
+def test_suite_reports_a_planted_attribute(monkeypatch, owner, name, plant, suite, kwargs, first):
+    assert suite(**kwargs).ok
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
     rep = suite(**kwargs)
     assert not rep.ok
     assert rep.failures[0] == first
