@@ -33,11 +33,12 @@ class AbelianGroup:
             raise TypeError("rank and torsion must be ints")
         if self.rank < 0:
             raise ValueError("negative rank")
+        # factors first, so that a zero never reaches the divisibility check
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("torsion factors must be >= 2")
 
     @classmethod
     def from_moduli(cls, rank: int, moduli) -> "AbelianGroup":

@@ -16,9 +16,15 @@ The order is part of the result.  ``IntMatrix.from_rows``, which builds
 every matrix, checks its input and stores rows, and the entries within
 a row, in ascending index order.  The pivot search takes the first unit
 in that order, so another order could pick other pivots and report
-another unit prefix, though never other invariant factors.  A product
-``a @ b`` drops each sum that cancels to zero as it accumulates, so the
-double boundary of a chain complex reaches ``from_rows`` as no rows.
+another unit prefix, though never other invariant factors.  While
+every pivot is a unit, the search resumes at a cursor past the rows
+that hold no +-1, and a step moves it back only to a row its row
+operations touch, so it finds the same first unit without rereading
+the rows behind it.  Once a larger pivot has ended the unit prefix,
+any order gives the same result, and the search is a plain scan.  A
+product ``a @ b`` drops each sum that cancels to zero as it
+accumulates, so the double boundary of a chain complex reaches
+``from_rows`` as no rows.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
 operation and the balanced division written out in it.  One pass over
@@ -201,13 +207,43 @@ def invariant_factor_chain(moduli: list[int]) -> list[int]:
 
 
 def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
-    """The first unit entry, else the first entry of smallest magnitude."""
+    """The first unit entry, else the first entry of smallest magnitude.
+
+    During the unit prefix the search resumes at a cursor instead
+    (``_pivot_from``): the rows before it have been read and hold no
+    +-1, and only a unit step's row operations change rows, so the
+    cursor goes back to the least row they touch.  A larger pivot fixes
+    the unit-prefix rows, and every pivot order gives the same invariant
+    factors and rank, so after it the cursor needs no upkeep and the
+    search is this scan."""
     least, at = 0, (0, 0)
     for i, r in rows.items():
         for j, v in r.items():
             if v == 1 or v == -1:
                 return i, j
             if not least or abs(v) < least:
+                least, at = abs(v), (i, j)
+    return at
+
+
+def _pivot_from(rows: dict[int, dict[int, int]], start: int, nrows: int) -> tuple[int, int]:
+    """``_pivot(rows)`` when no row before ``start`` holds a unit: units
+    are sought from row ``start`` on, and the rows before it are read,
+    once, only when none is left."""
+    least, at = 0, (0, 0)
+    for i in range(start, nrows):
+        if r := rows.get(i):
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    return i, j
+                if not least or abs(v) < least:
+                    least, at = abs(v), (i, j)
+    # the rows before start come first among entries of equal magnitude
+    for i, r in rows.items():
+        if i >= start:
+            break
+        for j, v in r.items():
+            if not least or abs(v) < least or abs(v) == least and at[0] >= start:
                 least, at = abs(v), (i, j)
     return at
 
@@ -245,8 +281,9 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     moduli: list[int] = []
     unit_rows: list[int] = []
     units = True
+    cursor, nrows = 0, m.nrows
     while rows:
-        pi, pj = _pivot(rows)
+        pi, pj = _pivot_from(rows, cursor, nrows) if units and cursor else _pivot(rows)
         while True:
             prow = rows[pi]
             p = prow[pj]
@@ -255,6 +292,12 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
                 # so the pass can walk the popped column itself
                 del rows[pi], prow[pj]
                 (others := cols.pop(pj)).discard(pi)
+                if units:
+                    # rows up to pi hold no unit until this pass
+                    cursor = pi + 1
+                    for i in others:
+                        if i < cursor:
+                            cursor = i
             else:
                 units = False
                 if p < 0:
@@ -325,6 +368,7 @@ def smith_normal_form(m: IntMatrix, skip=()) -> tuple[list[int], int, list[int]]
     """
     if not isinstance(m, IntMatrix):
         raise TypeError(f"smith_normal_form takes an IntMatrix, got {type(m).__name__}")
+    skip = tuple(skip)  # read once: the checks would use up an iterator
     for j in skip:
         if type(j) is not int:
             raise TypeError(f"skipped column must be an int, got {j!r}")

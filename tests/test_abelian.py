@@ -33,6 +33,10 @@ def test_validation():
         AbelianGroup(0, (3, 2))  # not a chain
     with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
+    # a zero factor is named as such, not met by the divisibility check
+    for torsion in ((0, 2), (0, 0)):
+        with pytest.raises(ValueError, match="torsion factors must be >= 2"):
+            AbelianGroup(0, torsion)
 
 
 @pytest.mark.parametrize("rank, torsion", [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from kleingroup import (
     IntMatrix,
+    SimplicialComplex,
     disjoint_circles,
     invariant_factor_chain,
     join,
@@ -152,6 +153,13 @@ def test_unit_prefix_ends_at_the_first_non_unit_pivot():
         ([1, 1], 2, [0, 1])
 
 
+def test_a_row_that_regains_a_unit_is_the_next_pivot():
+    # row 0 holds no unit until the step at row 1 turns it into (0, 1, 0),
+    # so the search must go back to it before row 2
+    assert smith_normal_form(IntMatrix([[2, 3, 0], [1, 1, 0], [0, 1, 1]])) == \
+        ([1, 1, 1], 3, [1, 0, 2])
+
+
 def reference_moduli(m: IntMatrix, skip):
     """The elimination with no unit step: every pivot is flipped to be
     positive, clears its column by balanced division and sweeps its row
@@ -226,10 +234,11 @@ def reference_moduli(m: IntMatrix, skip):
 
 
 @st.composite
-def unit_heavy(draw):
-    """Matrices up to 10 x 10 made mostly of +-1, with a random skip."""
+def unit_heavy(draw, entries=(0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)):
+    """Matrices up to 10 x 10 made mostly of +-1, or of other
+    ``entries``, with a random skip."""
     nr, nc = draw(st.integers(0, 10)), draw(st.integers(0, 10))
-    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3))
+    entry = st.sampled_from(entries)
     rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
     skip = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
     return dense(rows, nc), skip
@@ -242,19 +251,37 @@ def test_matches_the_elimination_without_a_unit_step(case):
     assert smith_normal_form(m, skip) == reference_moduli(m, skip)
 
 
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy((0, 0, 0, 1, -1, 2, -2, 2, -2, 3, -3)))
+def test_rows_that_regain_a_unit_match_the_elimination_without_a_unit_step(case):
+    # a unit step subtracts +-2 or +-3 times its row from rows the search
+    # has passed, and 3 - 2 or 2 - 3 leaves them a +-1 again
+    m, skip = case
+    assert smith_normal_form(m, skip) == reference_moduli(m, skip)
+
+
 MODEL_SPACES = [f"join-{n}" for n in range(1, 9)] + ["product-1", "product-2"]
+# the shapes the homology benchmark reduces: vertex labels in seeded orders
+SHUFFLED_SPACES = [f"{space}-seed-{seed}" for space in ("join-8", "product-2") for seed in (1, 2, 3)]
 
 
 @functools.cache
 def model_boundaries(space: str) -> list[IntMatrix]:
     """The boundaries of the join ("join-N") or the product ("product-N")
-    of N disjoint circles with the Klein bottle."""
+    of N disjoint circles with the Klein bottle; a suffix "-seed-S"
+    relabels the vertices by a permutation drawn from ``Random(S)``."""
+    space, _, seed = space.partition("-seed-")
     kind, n = space.split("-")
     build = join if kind == "join" else product
-    return build(disjoint_circles(int(n)), klein_complex()).boundary_matrices()
+    x = build(disjoint_circles(int(n)), klein_complex())
+    if seed:
+        nv = len(x.vertices)
+        names = dict(zip(x.vertices, random.Random(int(seed)).sample(range(nv), nv)))
+        x = SimplicialComplex([tuple(names[v] for v in s) for s in x.all_faces()], closed=True)
+    return x.boundary_matrices()
 
 
-@pytest.mark.parametrize("space", MODEL_SPACES)
+@pytest.mark.parametrize("space", MODEL_SPACES + SHUFFLED_SPACES)
 def test_model_boundaries_match_the_elimination_without_a_unit_step(space):
     # each boundary with the columns homology_of_chain leaves out: nearly
     # every pivot of a triangulation is a unit, so these pin the pivot
@@ -311,7 +338,7 @@ def test_rank_mod_p():
     assert rank_mod_p(IntMatrix.from_rows(2, 3, {}), 7) == 0
 
 
-@pytest.mark.parametrize("space", MODEL_SPACES)
+@pytest.mark.parametrize("space", MODEL_SPACES + ["join-16"])
 def test_model_boundaries_agree_with_ranks_mod_p(space):
     # an oracle that shares no code with the elimination and scales to any
     # size (Dumas, Saunders and Villard, J. Symbolic Comput. 2001); a
@@ -356,6 +383,11 @@ def test_skipped_columns_are_left_out(m, data):
 def test_skip_rejects_a_column_outside_the_matrix(skip, error):
     with pytest.raises(error, match="skipped column"):
         smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip)
+
+
+@pytest.mark.parametrize("skip", [iter([0]), (j for j in [0])], ids=["iterator", "generator"])
+def test_skip_may_be_read_once(skip):
+    assert smith_normal_form(IntMatrix([[1, 2], [3, 4]]), skip) == ([2], 1, [])
 
 
 def test_matches_sympy_smith_normal_form():
