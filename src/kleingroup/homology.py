@@ -18,13 +18,18 @@ triangulations in ``simplicial`` are the table's oracles in the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .abelian import TRIVIAL, AbelianGroup, GradedGroups, Z, Z2
-from .simplicial import SimplicialComplex, disjoint_circles, join, klein_complex
+from .simplicial import (
+    SimplicialComplex, _check_circle_count, disjoint_circles, join, klein_complex,
+)
 from .snf import IntMatrix, smith_normal_form
 
 
-def homology_of_chain(boundaries: list[IntMatrix]) -> GradedGroups:
-    """Unreduced homology of a chain complex given by its boundary matrices.
+def homology_of_chain(boundaries: Iterable[IntMatrix]) -> GradedGroups:
+    """Unreduced homology of a chain complex given by its boundary matrices,
+    in any iterable, which is read once.
 
     ``boundaries[k]`` is the matrix of the boundary from degree k+1 to
     degree k (so a 0-dimensional complex passes one (vertices x 0)
@@ -43,6 +48,7 @@ def homology_of_chain(boundaries: list[IntMatrix]) -> GradedGroups:
     moves no rank or invariant factor, but only because the double
     boundary was checked to be zero.
     """
+    boundaries = tuple(boundaries)  # read once: the checks would use up an iterator
     if not boundaries:
         raise ValueError("need at least one boundary matrix")
     if not all(isinstance(b, IntMatrix) for b in boundaries):
@@ -167,10 +173,10 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     alone, with no complex and no Smith normal form, capped at
     ``KUNNETH_CAP`` = 10^6 circles; method "simplicial" triangulates the
     join and runs the boundary matrices, capped at ``SIMPLICIAL_CAP`` = 4
-    circles to keep matrix sizes sane.
+    circles to keep matrix sizes sane.  Either way ``circles`` must be an
+    int of at least 1, and a bool is not one.
     """
-    if circles < 1:
-        raise ValueError("need at least one circle")
+    _check_circle_count(circles)
     if method == "kunneth":
         if circles > KUNNETH_CAP:
             raise ValueError(f"kunneth method capped at {KUNNETH_CAP} circles")

@@ -10,6 +10,20 @@ The boundary of s = (v_0, ..., v_d) is the sum of (-1)^k times the face
 without v_k.  ``combinations(s, d)`` yields the faces without v_d, v_{d-1},
 ..., v_0 in that order, so the signs are (-1)^d, ..., -1, +1.  Boundary
 matrices are built by ``IntMatrix.from_rows``, one row per face.
+
+The constructor checks and normalizes its input: it sorts each simplex,
+rejects repeated vertices, drops duplicates and sorts each level.  Input
+from outside, ``product`` and the fixed triangulations go through it.
+Three constructions derive their levels from complexes, which are normal
+already, and set them on a bare instance unchecked:
+
+* ``relabeled`` renames vertices in label order, which keeps each
+  simplex and each level sorted;
+* ``disjoint_union(x, y)`` renames x's vertices below y's, so each level
+  is x's level followed by y's;
+* ``join(x, y)`` renames the same way, so s + t is sorted as it stands
+  and each block of s's and t's of fixed sizes comes out sorted; each
+  level is sorted once.
 """
 
 from __future__ import annotations
@@ -99,12 +113,9 @@ class SimplicialComplex:
         return out
 
     def relabeled(self, offset: int = 0) -> "SimplicialComplex":
-        """Same complex with vertices renamed 0.., in sorted label order."""
-        names = {v: i + offset for i, v in enumerate(self.vertices)}
-        return SimplicialComplex(
-            [tuple(names[v] for v in s) for level in self._by_dim for s in level],
-            closed=True,
-        )
+        """Same complex with vertices renamed offset.., in sorted label order."""
+        rename = {v: i + offset for i, v in enumerate(self.vertices)}.__getitem__
+        return _from_levels([[tuple(map(rename, s)) for s in level] for level in self._by_dim])
 
     def is_closed_surface(self) -> bool:
         """Every edge on two triangles and every vertex link one cycle."""
@@ -140,21 +151,36 @@ class SimplicialComplex:
         return True
 
 
+def _from_levels(levels: list[list[tuple]]) -> SimplicialComplex:
+    """A complex with the given levels, unchecked: each simplex a sorted
+    tuple of distinct vertices, each level sorted, and the top one
+    nonempty, as the constructor leaves them."""
+    x = object.__new__(SimplicialComplex)
+    x._by_dim = levels
+    return x
+
+
 def disjoint_union(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    a = x.relabeled()
-    b = y.relabeled(offset=len(x.vertices))
-    return SimplicialComplex(a.all_faces() + b.all_faces(), closed=True)
+    """Both complexes side by side, x's vertices renamed below y's."""
+    a = x.relabeled()._by_dim
+    b = y.relabeled(offset=len(x.vertices))._by_dim
+    both = [a[d] + b[d] for d in range(min(len(a), len(b)))]
+    return _from_levels(both + a[len(b):] + b[len(a):])
 
 
 def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
     """The simplicial join: every union of a simplex from each side
     (either side may contribute nothing, but not both)."""
-    a = x.relabeled()
-    b = y.relabeled(offset=len(x.vertices))
-    xs = [()] + a.all_faces()
-    ys = [()] + b.all_faces()
-    faces = [s + t for s in xs for t in ys if s or t]
-    return SimplicialComplex(faces, closed=True)
+    # a[p] and b[q] hold the simplices with p and q vertices, () included
+    a = [[()]] + x.relabeled()._by_dim
+    b = [[()]] + y.relabeled(offset=len(x.vertices))._by_dim
+    levels = []
+    for k in range(1, len(a) + len(b) - 1):
+        level = [s + t for p in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
+                 for s in a[p] for t in b[k - p]]
+        level.sort()
+        levels.append(level)
+    return _from_levels(levels)
 
 
 def product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
@@ -197,10 +223,18 @@ def circle_complex(segments: int = 3) -> SimplicialComplex:
     )
 
 
-def disjoint_circles(count: int) -> SimplicialComplex:
-    """A disjoint union of ``count`` triangles-as-circles."""
+def _check_circle_count(count: int) -> None:
+    """Reject a count of circles that is not an int (a bool included) or
+    is below 1."""
+    if type(count) is not int:
+        raise TypeError(f"number of circles must be an int, got {count!r}")
     if count < 1:
         raise ValueError("need at least one circle")
+
+
+def disjoint_circles(count: int) -> SimplicialComplex:
+    """A disjoint union of ``count`` triangles-as-circles."""
+    _check_circle_count(count)
     edges = []
     for c in range(count):
         base = 3 * c

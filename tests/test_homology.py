@@ -187,6 +187,14 @@ def test_model_homology_validation():
         model_homology(1, method="nope")
 
 
+@pytest.mark.parametrize("method", ["kunneth", "simplicial"])
+@pytest.mark.parametrize("circles", [True, False, 2.0, "3", None])
+def test_model_homology_takes_an_int_count_of_circles(circles, method):
+    # checked before either route runs, so both reject each input alike
+    with pytest.raises(TypeError, match=rf"number of circles must be an int, got {circles!r}"):
+        model_homology(circles, method=method)
+
+
 def test_join_sequence_check_passes():
     cases = [
         (circle_complex(3), circle_complex(3)),
@@ -220,6 +228,16 @@ def test_chain_rejects_a_double_boundary_with_one_nonzero_entry():
     assert (d1 @ d2).rows == {0: {0: 1}}
     with pytest.raises(ValueError, match="double boundary"):
         homology_of_chain([d1, d2])
+
+
+@pytest.mark.parametrize("wrap", [tuple, iter, lambda ms: (m for m in ms)],
+                         ids=["tuple", "iterator", "generator"])
+def test_boundaries_may_be_read_once(wrap):
+    # the checks must not use up an iterator before the reduction reads it
+    mats = join(disjoint_circles(2), klein_complex()).boundary_matrices()
+    assert homology_of_chain(wrap(mats)) == homology_of_chain(mats) == model_homology(2)
+    with pytest.raises(ValueError, match="double boundary"):
+        homology_of_chain(wrap([IntMatrix([[1, 0], [0, 1]]), IntMatrix([[1], [0]])]))
 
 
 def test_chain_takes_int_matrices():

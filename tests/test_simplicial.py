@@ -93,6 +93,62 @@ def test_construction_matches_the_frozenset_closure(simplices, closed, pre_close
     assert [x.simplices(d) for d in range(x.dim + 1)] == frozenset_closure(shuffled, closed)
 
 
+def levels(x: SimplicialComplex) -> list[list[tuple]]:
+    return [x.simplices(d) for d in range(x.dim + 1)]
+
+
+def renamed_faces(x: SimplicialComplex, offset: int) -> list[tuple]:
+    """The old face formula of ``relabeled``: each face with its labels
+    numbered from offset in sorted label order."""
+    names = {v: i + offset for i, v in enumerate(sorted({v for s in x.all_faces() for v in s}))}
+    return [tuple(names[v] for v in s) for s in x.all_faces()]
+
+
+def union_faces(x: SimplicialComplex, y: SimplicialComplex) -> list[tuple]:
+    return renamed_faces(x, 0) + renamed_faces(y, len(x.vertices))
+
+
+def join_faces(x: SimplicialComplex, y: SimplicialComplex) -> list[tuple]:
+    xs = [()] + renamed_faces(x, 0)
+    ys = [()] + renamed_faces(y, len(x.vertices))
+    return [s + t for s in xs for t in ys if s or t]
+
+
+def assert_built_level_by_level(x: SimplicialComplex, y: SimplicialComplex, offset: int):
+    # the level-by-level constructions against the checked constructor and
+    # the frozenset closure, both reading the old face formulas
+    for built, faces in [(x.relabeled(offset), renamed_faces(x, offset)),
+                         (disjoint_union(x, y), union_faces(x, y)),
+                         (join(x, y), join_faces(x, y))]:
+        expected = frozenset_closure(faces, True)
+        assert levels(built) == expected == levels(SimplicialComplex(faces, closed=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_lists(), simplex_lists(), st.integers(-3, 20))
+def test_derived_constructions_match_the_checked_constructor(xs, ys, offset):
+    assert_built_level_by_level(SimplicialComplex(xs), SimplicialComplex(ys), offset)
+
+
+FIXED = {"empty": SimplicialComplex([]), "point": point_complex(),
+         "klein": klein_complex(), "labels": SimplicialComplex([("b", "c"), ("a", "c", "d")])}
+
+
+@pytest.mark.parametrize("x", FIXED, ids=str)
+@pytest.mark.parametrize("y", FIXED, ids=str)
+def test_derived_constructions_of_fixed_complexes(x, y):
+    assert_built_level_by_level(FIXED[x], FIXED[y], 5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_join_model_matches_the_checked_constructor(n):
+    x, k = disjoint_circles(n), klein_complex()
+    j = join(x, k)
+    assert levels(j) == levels(SimplicialComplex(join_faces(x, k), closed=True))
+    assert levels(join(j, point_complex())) == \
+        levels(SimplicialComplex(join_faces(j, point_complex()), closed=True))
+
+
 def test_maximal_simplices():
     x = SimplicialComplex([(0, 1, 2), (2, 3)])
     assert set(x.maximal_simplices()) == {(0, 1, 2), (2, 3)}
@@ -113,6 +169,9 @@ def test_disjoint_circles():
     assert d.counts() == [9, 9]
     with pytest.raises(ValueError):
         disjoint_circles(0)
+    for count in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match=rf"number of circles must be an int, got {count!r}"):
+            disjoint_circles(count)
 
 
 def test_disjoint_union_counts():
