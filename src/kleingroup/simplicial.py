@@ -115,7 +115,11 @@ class SimplicialComplex:
     def relabeled(self, offset: int = 0) -> "SimplicialComplex":
         """Same complex with vertices renamed offset.., in sorted label order."""
         rename = {v: i + offset for i, v in enumerate(self.vertices)}.__getitem__
-        return _from_levels([[tuple(map(rename, s)) for s in level] for level in self._by_dim])
+        try:
+            return _from_levels([[tuple(map(rename, s)) for s in level] for level in self._by_dim])
+        except KeyError as e:
+            # only closed=True input can lack the vertex of a simplex
+            raise ValueError(f"closed=True, but face {(e.args[0],)!r} is missing") from None
 
     def is_closed_surface(self) -> bool:
         """Every edge on two triangles and every vertex link one cycle."""

@@ -17,14 +17,15 @@ every matrix, checks its input and stores rows, and the entries within
 a row, in ascending index order.  The pivot search takes the first unit
 in that order, so another order could pick other pivots and report
 another unit prefix, though never other invariant factors.  While
-every pivot is a unit, the search resumes at a cursor past the rows
-that hold no +-1, and a step moves it back only to a row its row
-operations touch, so it finds the same first unit without rereading
-the rows behind it.  Once a larger pivot has ended the unit prefix,
-any order gives the same result, and the search is a plain scan.  A
-product ``a @ b`` drops each sum that cancels to zero as it
-accumulates, so the double boundary of a chain complex reaches
-``from_rows`` as no rows.
+every pivot is a unit, the search looks only for a +-1 and resumes at a
+cursor past the rows that hold none, and a step moves it back only to a
+row its row operations touch, so it finds the same first unit without
+rereading the rows behind it.  When no unit is left, one plain scan of
+every row finds the first entry of least magnitude; that larger pivot
+ends the unit prefix, after which any order gives the same result, and
+the search stays that scan.  A product ``a @ b`` drops each sum that
+cancels to zero as it accumulates, so the double boundary of a chain
+complex reaches ``from_rows`` as no rows.
 
 One loop, ``_diagonal_moduli``, does the elimination, with the row
 operation and the balanced division written out in it.  One pass over
@@ -209,13 +210,13 @@ def invariant_factor_chain(moduli: list[int]) -> list[int]:
 def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     """The first unit entry, else the first entry of smallest magnitude.
 
-    During the unit prefix the search resumes at a cursor instead
-    (``_pivot_from``): the rows before it have been read and hold no
-    +-1, and only a unit step's row operations change rows, so the
-    cursor goes back to the least row they touch.  A larger pivot fixes
-    the unit-prefix rows, and every pivot order gives the same invariant
-    factors and rank, so after it the cursor needs no upkeep and the
-    search is this scan."""
+    During the unit prefix the search for a unit resumes at a cursor
+    instead (``_unit_from``): the rows before it have been read and hold
+    no +-1, and only a unit step's row operations change rows, so the
+    cursor goes back to the least row they touch.  When no unit is left,
+    this scan finds the larger pivot, once; every pivot order after it
+    gives the same invariant factors and rank, so the cursor needs no
+    upkeep and the search stays this scan."""
     least, at = 0, (0, 0)
     for i, r in rows.items():
         for j, v in r.items():
@@ -226,26 +227,14 @@ def _pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     return at
 
 
-def _pivot_from(rows: dict[int, dict[int, int]], start: int, nrows: int) -> tuple[int, int]:
-    """``_pivot(rows)`` when no row before ``start`` holds a unit: units
-    are sought from row ``start`` on, and the rows before it are read,
-    once, only when none is left."""
-    least, at = 0, (0, 0)
+def _unit_from(rows: dict[int, dict[int, int]], start: int, nrows: int) -> tuple[int, int] | None:
+    """The first +-1 in a row from ``start`` on, else None."""
     for i in range(start, nrows):
         if r := rows.get(i):
             for j, v in r.items():
                 if v == 1 or v == -1:
                     return i, j
-                if not least or abs(v) < least:
-                    least, at = abs(v), (i, j)
-    # the rows before start come first among entries of equal magnitude
-    for i, r in rows.items():
-        if i >= start:
-            break
-        for j, v in r.items():
-            if not least or abs(v) < least or abs(v) == least and at[0] >= start:
-                least, at = abs(v), (i, j)
-    return at
+    return None
 
 
 def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
@@ -283,7 +272,10 @@ def _diagonal_moduli(m: IntMatrix, skip) -> tuple[list[int], list[int]]:
     units = True
     cursor, nrows = 0, m.nrows
     while rows:
-        pi, pj = _pivot_from(rows, cursor, nrows) if units and cursor else _pivot(rows)
+        at = _unit_from(rows, cursor, nrows) if units and cursor else None
+        # no row before the cursor holds a unit, so when none is left from
+        # it on, _pivot finds the least entry, and that pivot ends the prefix
+        pi, pj = at or _pivot(rows)
         while True:
             prow = rows[pi]
             p = prow[pj]
@@ -370,10 +362,7 @@ def smith_normal_form(m: IntMatrix, skip=()) -> tuple[list[int], int, list[int]]
         raise TypeError(f"smith_normal_form takes an IntMatrix, got {type(m).__name__}")
     skip = tuple(skip)  # read once: the checks would use up an iterator
     for j in skip:
-        if type(j) is not int:
-            raise TypeError(f"skipped column must be an int, got {j!r}")
-        if not 0 <= j < m.ncols:
-            raise ValueError(f"skipped column {j} outside 0..{m.ncols - 1}")
+        _check_index(j, m.ncols, "skipped column")
     moduli, unit_rows = _diagonal_moduli(m, skip)
     return invariant_factor_chain(moduli), len(moduli), unit_rows
 

@@ -40,6 +40,12 @@ def test_closed_flag_names_a_missing_face():
         x = SimplicialComplex(simplices, closed=True)
         with pytest.raises(ValueError, match=rf"closed=True, but face {face} is missing"):
             x.boundary_matrices()
+    # a vertex missing from level 0 stops every construction that relabels
+    x = SimplicialComplex([(0, 1)], closed=True)
+    for build in (x.relabeled, lambda: join(x, x), lambda: disjoint_union(x, x),
+                  lambda: product(x, x)):
+        with pytest.raises(ValueError, match=r"^closed=True, but face \(0,\) is missing$"):
+            build()
 
 
 def test_degenerate_rejected():

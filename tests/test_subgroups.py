@@ -181,17 +181,22 @@ def test_maximal_containing_examples():
 
 
 def test_maximal_containing_is_maximal_on_grid():
-    # no strictly larger cyclic subgroup on the grid contains the maximal one
-    subs = [CyclicSubgroup(g) for g in canonical_gens(GRID)]
+    # a brute-force oracle from powers alone: u contains t when t's
+    # generator is a power of u's, and exponents up to the box's bound
+    # reach every element of the box
+    bound = 12
+    subs = canonical_subgroups(bound)
+    psets = {u: power_set(u, bound) for u in subs}
+    glides = {subgroup(r, 1) for r in range(-bound, bound + 1)}
     for s in subs:
-        m = maximal_containing(s)
-        assert contains(m, s.gen)
-        for t in subs:
-            if t == m:
-                continue
-            if contains(t, m.gen) and m.gen.m % 2 == 0 and m.gen.n != 0:
-                # only the vertical envelope case admits larger subgroups
-                pytest.fail(f"{t.gen} strictly contains maximal {m.gen}")
+        over = [u for u in subs if (s.gen.n, s.gen.m) in psets[u]]
+        maximal = {t for t in over
+                   if not any(u != t and (t.gen.n, t.gen.m) in psets[u] for u in over)}
+        if s.gen.n == 0 and s.gen.m % 2 == 0:
+            # <(0, 2k)> lies in every <(r, 1)>, so condition (M) fails here
+            assert maximal == glides and maximal_containing(s) not in maximal, s.gen
+        else:
+            assert maximal == {maximal_containing(s)}, s.gen
 
 
 BIG = 10**30

@@ -1,6 +1,8 @@
 """The verification sweeps themselves (at reduced bounds, for speed)."""
 
+import ast
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,12 +244,32 @@ PLANTED = [
         representation_suite, dict(bound=3),
         "affine map disagrees with the action at GroupElement(n=1, m=0)",
         id="representation-act_point"),
+    # the first pair the scalar/vector check samples at seed 0
+    pytest.param(
+        "mul", (GroupElement(0, 0), GroupElement(2, 2)),
+        lambda p: GroupElement(p.n + 1, p.m),
+        group_law_suite, dict(bound=2, samples=50),
+        "scalar/vector mismatch at GroupElement(n=0, m=0), GroupElement(n=2, m=2)",
+        id="group-law-scalar"),
+    pytest.param(
+        "inv", (GroupElement(-2, -2),), lambda g: GroupElement(g.n + 1, g.m),
+        group_law_suite, dict(bound=2, samples=50),
+        "inverse law fails at GroupElement(n=-2, m=-2)",
+        id="group-law-inverse"),
+    pytest.param(
+        "power", (GroupElement(-2, -2), 2), lambda p: GroupElement(p.n + 1, p.m),
+        group_law_suite, dict(bound=2, samples=50),
+        "power 2 of GroupElement(n=-2, m=-2) disagrees with iteration",
+        id="group-law-power"),
+    pytest.param(
+        "power", (GroupElement(-2, -2), -2), lambda p: GroupElement(p.n + 1, p.m),
+        group_law_suite, dict(bound=2, samples=50),
+        "power -2 of GroupElement(n=-2, m=-2) disagrees with iteration",
+        id="group-law-negative-power"),
 ]
 
 
-@pytest.mark.parametrize("name, at, wrong, suite, kwargs, first", PLANTED)
-def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwargs, first):
-    assert suite(**kwargs).ok
+def _plant_fault(monkeypatch, name, at, wrong):
     real = getattr(verify, name)
 
     def faulty(*args):
@@ -255,13 +277,35 @@ def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwar
         return wrong(out) if args == at else out
 
     monkeypatch.setattr(verify, name, faulty)
+
+
+@pytest.mark.parametrize("name, at, wrong, suite, kwargs, first", PLANTED)
+def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwargs, first):
+    assert suite(**kwargs).ok
+    _plant_fault(monkeypatch, name, at, wrong)
     rep = suite(**kwargs)
     assert not rep.ok
     assert rep.failures[0] == first
 
 
+def _off_above_a_million(real):
+    """``real`` with 1 added to the first coordinate of its value when
+    the first coordinate of its first argument exceeds 10^6 in size,
+    which only group_law_suite's big-integer samples reach."""
+    def plant(g, *rest):
+        out = real(g, *rest)
+        return GroupElement(out.n + 1, out.m) if abs(g.n) > 10**6 else out
+    return plant
+
+
+# the first big-integer sample of group_law_suite at seed 0
+BIG_G = "GroupElement(n=-251770678874884425933987828132, m=-881512449748737486528613234139)"
+BIG_H = "GroupElement(n=-982909380664729684252273645869, m=334695439101372366604313926941)"
+BIG_K = "GroupElement(n=897459766528212415715999013590, m=-968695728292470355895801096863)"
+
 # A wrong method or constant, which a suite reads as an attribute rather
-# than call by name: plant(real) is what replaces it on its owner.
+# than call by name, or a wrong function on a whole range of arguments:
+# plant(real) is what replaces it on its owner.
 PLANTED_ATTRIBUTES = [
     pytest.param(
         GroupElement, "is_identity",
@@ -274,13 +318,85 @@ PLANTED_ATTRIBUTES = [
         representation_suite, dict(bound=3),
         "identity map not recognized",
         id="representation-AFFINE_IDENTITY"),
+    # the comparison the numpy block reads sees each lane's sign flipped
+    pytest.param(
+        verify.np, "array_equal", lambda real: lambda a, b: real(a, -b),
+        group_law_suite, dict(bound=2, samples=50),
+        "associativity broken somewhere at g=(-2,-2)",
+        id="group-law-associativity"),
+    # inverses are unique, so a wrong inv trips the inverse law first; the
+    # double inverse is reached first through its comparison
+    pytest.param(
+        GroupElement, "__ne__",
+        lambda real: lambda g, h: g == h == GroupElement(-2, -2) or real(g, h),
+        group_law_suite, dict(bound=2, samples=50),
+        "double inverse fails at GroupElement(n=-2, m=-2)",
+        id="group-law-double-inverse"),
+    pytest.param(
+        verify, "mul", _off_above_a_million,
+        group_law_suite, dict(bound=2, samples=50),
+        f"big associativity fails at {BIG_G}, {BIG_H}, {BIG_K}",
+        id="group-law-big-associativity"),
+    pytest.param(
+        verify, "inv", _off_above_a_million,
+        group_law_suite, dict(bound=2, samples=50),
+        f"big inverse fails at {BIG_G}",
+        id="group-law-big-inverse"),
+    pytest.param(
+        verify, "conj", _off_above_a_million,
+        group_law_suite, dict(bound=2, samples=50),
+        f"big conjugation fails at {BIG_G}, {BIG_H}",
+        id="group-law-big-conjugation"),
+    pytest.param(
+        verify, "power", _off_above_a_million,
+        group_law_suite, dict(bound=2, samples=50),
+        f"big power fails at {BIG_G}^25",
+        id="group-law-big-power"),
 ]
+
+
+def _plant_attribute(monkeypatch, owner, name, plant):
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
 
 
 @pytest.mark.parametrize("owner, name, plant, suite, kwargs, first", PLANTED_ATTRIBUTES)
 def test_suite_reports_a_planted_attribute(monkeypatch, owner, name, plant, suite, kwargs, first):
     assert suite(**kwargs).ok
-    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    _plant_attribute(monkeypatch, owner, name, plant)
     rep = suite(**kwargs)
     assert not rep.ok
     assert rep.failures[0] == first
+
+
+def test_planted_faults_reach_every_failure_branch():
+    # every rep.fail( call in verify.py, by its line, from the syntax tree
+    path = verify.__file__
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    sites = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "fail" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "rep"}
+    assert len(sites) == 36
+    reached = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == path else None
+
+    for plant, cases in ((_plant_fault, PLANTED), (_plant_attribute, PLANTED_ATTRIBUTES)):
+        for case in cases:
+            *how, suite, kwargs, _ = case.values
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                plant(monkeypatch, *how)
+                before = sys.gettrace()
+                sys.settrace(calls)
+                try:
+                    suite(**kwargs)
+                finally:
+                    sys.settrace(before)
+    assert sorted(sites - reached) == []
