@@ -134,31 +134,6 @@ def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
     return GradedGroups(groups, reduced=True)
 
 
-def join_sequence_check(hx: GradedGroups, hy: GradedGroups) -> list[dict]:
-    """Consistency of the join against the product, degree by degree.
-
-    The join, the product and the wedge-like sum of the factors sit in a
-    short exact sequence; in each degree n >= 1 the reduced groups must
-    satisfy join(n+1) + (X(n) + Y(n)) = product(n), which pins the rank
-    of the join by subtraction.  Returns one record per degree.
-    """
-    if not (hx.reduced and hy.reduced):
-        raise ValueError("join_sequence_check takes reduced homologies")
-    hj = kunneth_join(hx, hy)
-    hprod = kunneth_product(hx.to_unreduced(), hy.to_unreduced()).to_reduced()
-    out = []
-    for n in range(1, max(hj.top_degree, hprod.top_degree + 1) + 1):
-        ends = hx[n].direct_sum(hy[n])
-        out.append(
-            {
-                "degree": n,
-                "rank_ok": hj[n + 1].rank == hprod[n].rank - ends.rank,
-                "split_ok": hj[n + 1].direct_sum(ends) == hprod[n],
-            }
-        )
-    return out
-
-
 SIMPLICIAL_CAP = 4
 KUNNETH_CAP = 1_000_000
 
@@ -196,7 +171,6 @@ __all__ = [
     "KNOWN_HOMOLOGY",
     "kunneth_product",
     "kunneth_join",
-    "join_sequence_check",
     "model_homology",
     "SIMPLICIAL_CAP",
     "KUNNETH_CAP",

@@ -11,11 +11,13 @@ without v_k.  ``combinations(s, d)`` yields the faces without v_d, v_{d-1},
 ..., v_0 in that order, so the signs are (-1)^d, ..., -1, +1.  Boundary
 matrices are built by ``IntMatrix.from_rows``, one row per face.
 
-The constructor checks and normalizes its input: it sorts each simplex,
-rejects repeated vertices, drops duplicates and sorts each level.  Input
-from outside, ``product`` and the fixed triangulations go through it.
-Three constructions derive their levels from complexes, which are normal
-already, and set them on a bare instance unchecked:
+Every complex is closed under faces.  The constructor sorts each
+simplex, rejects repeated vertices, drops duplicates, closes the levels
+from the top down, each simplex adding its facets to the level below,
+and sorts each level; ``closed=True`` makes the walk a check that names
+the least missing facet.  Input from outside, ``product`` and the fixed
+triangulations go through it.  Three constructions derive their levels
+from complexes, normal and closed already, and set them unchecked:
 
 * ``relabeled`` renames vertices in label order, which keeps each
   simplex and each level sorted;
@@ -28,34 +30,36 @@ already, and set them on a bare instance unchecked:
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import defaultdict
+from itertools import chain, combinations, repeat
 
 from .snf import IntMatrix
 
 
 class SimplicialComplex:
     def __init__(self, simplices, *, closed: bool = False):
-        """Build from an iterable of simplices (iterables of vertices).
-
-        The downward closure is taken unless ``closed`` promises the
-        input already contains every face.
-        """
-        faces: set[tuple] = set()
+        """Build from an iterable of simplices (iterables of vertices),
+        closed under faces; ``closed`` checks the faces instead of adding."""
+        by_dim: dict[int, set[tuple]] = defaultdict(set)
         for s in simplices:
             t = tuple(s)
             if not t:
                 continue
             if len(set(t)) != len(t):
                 raise ValueError(f"degenerate simplex {t!r}")
-            faces.add(tuple(sorted(t)))
-        if not closed:
-            for t in list(faces):
-                for k in range(1, len(t)):
-                    faces.update(combinations(t, k))
-        by_dim: dict[int, list] = {}
-        for t in faces:
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        self._by_dim = [sorted(by_dim.get(d, [])) for d in range(max(by_dim, default=-1) + 1)]
+            by_dim[len(t) - 1].add(tuple(sorted(t)))
+        levels = [by_dim[d] for d in range(max(by_dim, default=-1) + 1)]
+        for d in range(len(levels) - 1, 0, -1):
+            facets = chain.from_iterable(map(combinations, levels[d], repeat(d)))
+            if not closed:
+                levels[d - 1].update(facets)
+            elif not levels[d - 1].issuperset(facets):
+                # the least missing facet and the least simplex it bounds,
+                # so the message does not depend on set order
+                face, s = min((f, s) for s in levels[d] for f in combinations(s, d)
+                              if f not in levels[d - 1])
+                raise ValueError(f"closed=True, but face {face!r} of {s!r} is missing")
+        self._by_dim = [sorted(level) for level in levels]
 
     @property
     def dim(self) -> int:
@@ -103,23 +107,16 @@ class SimplicialComplex:
             # combinations(s, d) leaves out s[d], s[d-1], ..., s[0] in turn
             signs = [(-1) ** (d - k) for k in range(d + 1)]
             rows: list[dict[int, int]] = [{} for _ in faces]
-            try:
-                for j, s in enumerate(cells):
-                    for face, sign in zip(combinations(s, d), signs):
-                        rows[index[face]][j] = sign
-            except KeyError:
-                raise ValueError(f"closed=True, but face {face!r} of {s!r} is missing") from None
+            for j, s in enumerate(cells):
+                for face, sign in zip(combinations(s, d), signs):
+                    rows[index[face]][j] = sign
             out.append(IntMatrix.from_rows(len(faces), len(cells), dict(enumerate(rows))))
         return out
 
     def relabeled(self, offset: int = 0) -> "SimplicialComplex":
         """Same complex with vertices renamed offset.., in sorted label order."""
         rename = {v: i + offset for i, v in enumerate(self.vertices)}.__getitem__
-        try:
-            return _from_levels([[tuple(map(rename, s)) for s in level] for level in self._by_dim])
-        except KeyError as e:
-            # only closed=True input can lack the vertex of a simplex
-            raise ValueError(f"closed=True, but face {(e.args[0],)!r} is missing") from None
+        return _from_levels([[tuple(map(rename, s)) for s in level] for level in self._by_dim])
 
     def is_closed_surface(self) -> bool:
         """Every edge on two triangles and every vertex link one cycle."""
@@ -215,7 +212,7 @@ def product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
 
 
 def point_complex() -> SimplicialComplex:
-    return SimplicialComplex([(0,)], closed=True)
+    return SimplicialComplex([(0,)])
 
 
 def circle_complex(segments: int = 3) -> SimplicialComplex:

@@ -21,7 +21,6 @@ from kleingroup import (
     as_affine,
     disjoint_circles,
     flat_representatives,
-    join_sequence_check,
     klein_complex,
     kunneth_product,
     model_homology,
@@ -156,7 +155,7 @@ def test_criterion_07_model_truncations(announce):
     assert dt < 120.0
 
 
-def test_criterion_08_ses_bookkeeping(announce):
+def test_criterion_08_ses_bookkeeping(announce, join_sequence_check):
     bad = []
     hk = simplicial_homology(klein_complex()).to_reduced()
     for n in (1, 2, 3, 4):

@@ -19,7 +19,6 @@ from kleingroup import (
     disjoint_union,
     homology_of_chain,
     join,
-    join_sequence_check,
     klein_complex,
     kunneth_join,
     kunneth_product,
@@ -195,7 +194,7 @@ def test_model_homology_takes_an_int_count_of_circles(circles, method):
         model_homology(circles, method=method)
 
 
-def test_join_sequence_check_passes():
+def test_join_sequence_check_passes(join_sequence_check):
     cases = [
         (circle_complex(3), circle_complex(3)),
         (disjoint_circles(2), klein_complex()),

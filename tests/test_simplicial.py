@@ -1,5 +1,6 @@
 """Complex constructions: closure, joins, products, the Klein surface."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -27,25 +28,33 @@ def test_downward_closure():
     assert x.dim == 2
 
 
-def test_closed_flag_trusts_input():
-    x = SimplicialComplex([(0,), (1,), (0, 1)], closed=True)
+def levels(x: SimplicialComplex) -> list[list[tuple]]:
+    return [x.simplices(d) for d in range(x.dim + 1)]
+
+
+def test_closed_flag_accepts_closed_input():
+    x = SimplicialComplex([(1, 0), (1,), (0,)], closed=True)
     assert x.counts() == [2, 1]
+    assert levels(x) == levels(SimplicialComplex([(0, 1)]))
 
 
 def test_closed_flag_names_a_missing_face():
+    # at construction, so no complex lacks a face
     for simplices, face in [
-        ([(0, 1)], r"\(0,\) of \(0, 1\)"),
-        ([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)], r"\(0, 2\) of \(0, 1, 2\)"),
+        ([(0, 1)], "(0,) of (0, 1)"),
+        ([(0, 1, 2)], "(0, 1) of (0, 1, 2)"),
+        ([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)], "(0, 2) of (0, 1, 2)"),
+        ([("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "b", "c")],
+         "('a', 'c') of ('a', 'b', 'c')"),
+        # the highest level that lacks a facet is checked first, and its
+        # least missing facet is named with the least simplex it bounds,
+        # whatever order the sets of string labels iterate in
+        ([("b", "c", "d"), ("a", "c", "d")], "('a', 'c') of ('a', 'c', 'd')"),
+        ([(2,), (1,), (0, 2), (1, 2), (0, 1), (0, 1, 2)], "(0,) of (0, 1)"),
+        ([(3,), (0, 3), (1, 3), (2, 3), (1, 2, 3), (0, 2, 3)], "(0, 2) of (0, 2, 3)"),
     ]:
-        x = SimplicialComplex(simplices, closed=True)
-        with pytest.raises(ValueError, match=rf"closed=True, but face {face} is missing"):
-            x.boundary_matrices()
-    # a vertex missing from level 0 stops every construction that relabels
-    x = SimplicialComplex([(0, 1)], closed=True)
-    for build in (x.relabeled, lambda: join(x, x), lambda: disjoint_union(x, x),
-                  lambda: product(x, x)):
-        with pytest.raises(ValueError, match=r"^closed=True, but face \(0,\) is missing$"):
-            build()
+        with pytest.raises(ValueError, match=rf"^closed=True, but face {re.escape(face)} is missing$"):
+            SimplicialComplex(simplices, closed=True)
 
 
 def test_degenerate_rejected():
@@ -65,17 +74,29 @@ def test_each_simplex_is_read_once():
         SimplicialComplex([iter((1, 0, 1))])
 
 
-def frozenset_closure(simplices, closed):
+def frozenset_closure(simplices):
     """The faces of each dimension, as sorted tuples in sorted order, found
     by reading each simplex as a set and closing under nonempty subsets."""
     faces = {frozenset(s) for s in simplices} - {frozenset()}
-    if not closed:
-        faces |= {frozenset(c) for f in faces for k in range(1, len(f))
-                  for c in combinations(f, k)}
+    faces |= {frozenset(c) for f in faces for k in range(1, len(f))
+              for c in combinations(f, k)}
     by_dim: dict[int, list] = {}
     for f in faces:
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     return [sorted(by_dim.get(d, [])) for d in range(max(by_dim, default=-1) + 1)]
+
+
+def first_missing_facet(simplices):
+    """With each simplex read as a set: in the highest dimension where a
+    simplex lacks a facet, the least such facet and the least simplex
+    that lacks it, as sorted tuples; None for a closed input."""
+    faces = {frozenset(s) for s in simplices} - {frozenset()}
+    for d in range(max(map(len, faces), default=0) - 1, 0, -1):
+        missing = [(tuple(sorted(f - {v})), tuple(sorted(f)))
+                   for f in faces if len(f) == d + 1 for v in f if f - {v} not in faces]
+        if missing:
+            return min(missing)
+    return None
 
 
 LABEL_SETS = (tuple(range(8)), tuple("abcdefgh"), ("x10", "x9", "y", "z0", "z00", "A"))
@@ -91,16 +112,19 @@ def simplex_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(simplex_lists(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
 def test_construction_matches_the_frozenset_closure(simplices, closed, pre_close, rng):
-    if pre_close:  # a closed input, as closed=True promises
-        simplices = [list(s) for level in frozenset_closure(simplices, False) for s in level]
+    if pre_close:  # a closed input, which closed=True accepts
+        simplices = [list(s) for level in frozenset_closure(simplices) for s in level]
     shuffled = [rng.sample(s, len(s)) for s in simplices]
     rng.shuffle(shuffled)
-    x = SimplicialComplex(shuffled, closed=closed)
-    assert [x.simplices(d) for d in range(x.dim + 1)] == frozenset_closure(shuffled, closed)
-
-
-def levels(x: SimplicialComplex) -> list[list[tuple]]:
-    return [x.simplices(d) for d in range(x.dim + 1)]
+    missing = first_missing_facet(shuffled) if closed else None
+    if missing:
+        face, s = missing
+        message = re.escape(f"closed=True, but face {face!r} of {s!r} is missing")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimplicialComplex(shuffled, closed=True)
+    else:
+        x = SimplicialComplex(shuffled, closed=closed)
+        assert levels(x) == frozenset_closure(shuffled)
 
 
 def renamed_faces(x: SimplicialComplex, offset: int) -> list[tuple]:
@@ -126,7 +150,7 @@ def assert_built_level_by_level(x: SimplicialComplex, y: SimplicialComplex, offs
     for built, faces in [(x.relabeled(offset), renamed_faces(x, offset)),
                          (disjoint_union(x, y), union_faces(x, y)),
                          (join(x, y), join_faces(x, y))]:
-        expected = frozenset_closure(faces, True)
+        expected = frozenset_closure(faces)
         assert levels(built) == expected == levels(SimplicialComplex(faces, closed=True))
 
 
