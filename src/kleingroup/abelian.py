@@ -7,6 +7,7 @@ Tor products by gcd bookkeeping, which is all the Kunneth formulas need.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
@@ -132,6 +133,11 @@ class GradedGroups:
             return self.groups[degree]
         return TRIVIAL
 
+    def __iter__(self) -> Iterator[AbelianGroup]:
+        """Degrees 0 to the top, degree 0 always present.  Without it,
+        iteration would fall back to ``h[n]``, which never runs out."""
+        return iter(self.groups or (TRIVIAL,))
+
     @property
     def top_degree(self) -> int:
         return len(self.groups) - 1
@@ -155,8 +161,7 @@ class GradedGroups:
 
     def text(self) -> str:
         prefix = "~H" if self.reduced else "H"
-        top = max(self.top_degree, 0)
-        return ", ".join(f"{prefix}_{n} = {self[n]}" for n in range(top + 1))
+        return ", ".join(f"{prefix}_{n} = {g}" for n, g in enumerate(self))
 
 
 __all__ = ["AbelianGroup", "GradedGroups", "TRIVIAL", "Z", "Z2"]

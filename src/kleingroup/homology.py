@@ -101,14 +101,16 @@ def simplicial_homology(x: SimplicialComplex) -> GradedGroups:
     return homology_of_chain(x.boundary_matrices())
 
 
-def _kunneth_degree(hx: GradedGroups, hy: GradedGroups, n: int) -> AbelianGroup:
-    """The tensor terms of total degree n plus the Tor terms one below."""
-    acc = TRIVIAL
-    for i in range(n + 1):
-        acc = acc.direct_sum(hx[i].tensor(hy[n - i]))
-    for i in range(n):
-        acc = acc.direct_sum(hx[i].tor(hy[n - 1 - i]))
-    return acc
+def _kunneth(hx: GradedGroups, hy: GradedGroups) -> tuple[AbelianGroup, ...]:
+    """Every degree n of the Kunneth formula: the tensor terms of total
+    degree n plus the Tor terms one below, normalized once together."""
+    groups = []
+    for n in range(hx.top_degree + hy.top_degree + 2):
+        terms = [hx[i].tensor(hy[n - i]) for i in range(n + 1)]
+        terms += [hx[i].tor(hy[n - 1 - i]) for i in range(n)]
+        groups.append(AbelianGroup.from_moduli(
+            sum(g.rank for g in terms), [d for g in terms for d in g.torsion]))
+    return tuple(groups)
 
 
 def kunneth_product(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
@@ -116,8 +118,7 @@ def kunneth_product(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
     tensor terms in the same total degree plus Tor terms one below."""
     if hx.reduced or hy.reduced:
         raise ValueError("kunneth_product takes unreduced homologies")
-    top = hx.top_degree + hy.top_degree + 1
-    return GradedGroups(tuple(_kunneth_degree(hx, hy, n) for n in range(top + 1)))
+    return GradedGroups(_kunneth(hx, hy))
 
 
 def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
@@ -129,9 +130,7 @@ def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
     """
     if not (hx.reduced and hy.reduced):
         raise ValueError("kunneth_join takes reduced homologies")
-    top = hx.top_degree + hy.top_degree + 1
-    groups = (TRIVIAL,) + tuple(_kunneth_degree(hx, hy, n) for n in range(top + 1))
-    return GradedGroups(groups, reduced=True)
+    return GradedGroups((TRIVIAL,) + _kunneth(hx, hy), reduced=True)
 
 
 SIMPLICIAL_CAP = 4

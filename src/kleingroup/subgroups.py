@@ -141,14 +141,18 @@ class CommClass:
         return None if self.direction in _TAGS else maximal_translations(*self.direction)
 
 
-def maximal_containing(s: CyclicSubgroup) -> CyclicSubgroup:
+def maximal_containing(s: CyclicSubgroup) -> CyclicSubgroup | None:
     """The maximal infinite cyclic subgroup containing s: <(n, 1)> for a
     glide (n, m), else the maximal translations along its fixed direction.
-    A purely vertical <(0, 2k)> lies in every <(r, 1)>, so it has no
-    unique maximal overgroup; <(0, 2)> is its vertical envelope.
+    None for a purely vertical <(0, 2k)>, which has no unique one: its
+    maximal overgroups are the vertex stabilizers <(r, 1)> of the K
+    piece, one per integer r, on which g acts by
+    ``models.piece_action((0, 1), g, r)``.
     """
     if s.gen.m % 2:
         return subgroup(s.gen.n, 1)
+    if s.gen.n == 0:
+        return None
     return maximal_translations(*fixed_direction(s))
 
 

@@ -1,6 +1,7 @@
 """Abelian group normal form, sums, tensor/Tor, graded sequences."""
 
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -114,6 +115,20 @@ def test_graded_normalization():
     assert g.top_degree == 1
     assert g[0] == Z and g[1] == Z2 and g[5] == TRIVIAL
     assert g == GradedGroups((Z, Z2))
+
+
+def test_graded_iteration_stops_at_the_top_degree():
+    # islice bounds each read, so an iteration that never ends fails here
+    # instead of hanging; h[n] past the top is TRIVIAL without end
+    for h, degrees in [
+        (GradedGroups((Z, Z2)), [Z, Z2]),
+        (GradedGroups((Z, TRIVIAL, Z2, TRIVIAL)), [Z, TRIVIAL, Z2]),
+        (GradedGroups(()), [TRIVIAL]),
+        (GradedGroups((), reduced=True), [TRIVIAL]),
+    ]:
+        assert list(islice(h, 100)) == degrees
+        assert list(h) == degrees
+        assert (TRIVIAL in h) == (TRIVIAL in degrees)
 
 
 def test_graded_validation():

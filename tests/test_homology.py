@@ -147,6 +147,38 @@ def test_kunneth_argument_conventions():
         kunneth_join(k, k.to_reduced())
 
 
+graded_terms = st.lists(
+    st.builds(AbelianGroup.from_moduli, st.integers(0, 3),
+              st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3)),
+    max_size=4,
+)
+
+
+def folded_kunneth(xs, ys, reduced):
+    """The Kunneth degrees of GradedGroups(xs) and GradedGroups(ys),
+    each folded into a running direct sum one term at a time."""
+    hx, hy = GradedGroups(xs, reduced), GradedGroups(ys, reduced)
+    groups = []
+    for n in range(len(xs) + len(ys)):
+        acc = TRIVIAL
+        for i in range(n + 1):
+            acc = acc.direct_sum(hx[i].tensor(hy[n - i]))
+        for i in range(n):
+            acc = acc.direct_sum(hx[i].tor(hy[n - 1 - i]))
+        groups.append(acc)
+    return groups
+
+
+@given(graded_terms, graded_terms)
+def test_kunneth_matches_a_termwise_direct_sum(xs, ys):
+    # a direct sum's invariant factors do not depend on how its summands
+    # were grouped, so one normalization per degree gives the fold's result
+    product_groups = kunneth_product(GradedGroups(xs), GradedGroups(ys))
+    assert product_groups == GradedGroups(folded_kunneth(xs, ys, False))
+    join_groups = kunneth_join(GradedGroups(xs, True), GradedGroups(ys, True))
+    assert join_groups == GradedGroups([TRIVIAL] + folded_kunneth(xs, ys, True), True)
+
+
 def test_join_with_point_is_contractible():
     k = simplicial_homology(klein_complex()).to_reduced()
     pt = simplicial_homology(point_complex()).to_reduced()

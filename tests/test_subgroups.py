@@ -175,7 +175,7 @@ def test_fixed_direction_is_primitive_and_canonical():
 def test_maximal_containing_examples():
     assert maximal_containing(subgroup(4, 0)) == subgroup(1, 0)
     assert maximal_containing(subgroup(-6, 3)) == subgroup(-6, 1)
-    assert maximal_containing(subgroup(0, 6)) == subgroup(0, 2)
+    assert maximal_containing(subgroup(0, 6)) is None
     assert maximal_containing(subgroup(6, 4)) == subgroup(3, 2)
     assert maximal_containing(subgroup(-4, 8)) == subgroup(-1, 2)
 
@@ -194,7 +194,7 @@ def test_maximal_containing_is_maximal_on_grid():
                    if not any(u != t and (t.gen.n, t.gen.m) in psets[u] for u in over)}
         if s.gen.n == 0 and s.gen.m % 2 == 0:
             # <(0, 2k)> lies in every <(r, 1)>, so condition (M) fails here
-            assert maximal == glides and maximal_containing(s) not in maximal, s.gen
+            assert maximal == glides and maximal_containing(s) is None, s.gen
         else:
             assert maximal == {maximal_containing(s)}, s.gen
 
@@ -214,18 +214,20 @@ def test_maximal_containing_at_scale(n, m):
         return
     s = subgroup(n, m)
     big = maximal_containing(s)
+    if s.gen.n == 0 and s.gen.m % 2 == 0:
+        # <(0, 2k)> lies in every <(r, 1)>: no unique maximal overgroup
+        assert big is None
+        return
     assert contains(big, s.gen)
     g = big.gen
     if s.gen.m % 2:
         assert g.m == 1
     else:
-        # primitive even generator; the horizontal and vertical ones are
-        # the ends of the same formula
+        # primitive even generator; the horizontal one is an end of the
+        # same formula
         assert g.m % 2 == 0 and gcd(abs(g.n), g.m // 2) == 1
         if s.gen.m == 0:
             assert big == subgroup(1, 0)
-        if s.gen.n == 0:
-            assert big == subgroup(0, 2)
 
 
 @given(big_coords.filter(bool))
@@ -364,6 +366,8 @@ def gcd_maximal_containing(s):
     n, m = s.gen.n, s.gen.m
     if m % 2:
         return subgroup(n, 1)
+    if n == 0:
+        return None
     d = gcd(abs(n), m // 2)
     return subgroup(n // d, m // d)
 
