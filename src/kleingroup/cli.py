@@ -65,7 +65,7 @@ from .subgroups import (
     maximal_translations,
     subgroup,
 )
-from .verify import SUITES, SuiteReport, run_suite, suite_options
+from .verify import SUITES, SuiteReport, suite_options
 
 
 # --- argument kinds -----------------------------------------------------------
@@ -497,12 +497,10 @@ def _h_verify(a):
     """One record per suite; --suite all runs every suite in name order,
     once every suite has accepted the options."""
     names = sorted(SUITES) if a.suite == "all" else [a.suite]
-    for name in names:
-        suite_options(name, a.bound, a.seed, a.max_denominator)
-    for name in names:
-        report = run_suite(name, bound=a.bound, seed=a.seed,
-                           max_denominator=a.max_denominator)
-        yield {"suite": name, "bound": a.bound}, report, "verification sweep"
+    runs = [(name, suite_options(name, a.bound, a.seed, a.max_denominator))
+            for name in names]
+    for name, kwargs in runs:
+        yield {"suite": name, "bound": a.bound}, SUITES[name](**kwargs), "verification sweep"
 
 
 _NEGATIVE = re.compile(r"-\.?\d[\d_./eE+-]*")

@@ -124,11 +124,11 @@ def group_law_suite(bound: int = 10, samples: int = 10000, seed: int = 0) -> Sui
             rep.fail(f"double inverse fails at {g}")
         acc = IDENTITY
         for k in range(13):
-            if power(g, k) != acc:
-                rep.fail(f"power {k} of {g} disagrees with iteration")
-            if power(g, -k) != inv(acc):
-                rep.fail(f"power {-k} of {g} disagrees with iteration")
-            rep.checks += 2
+            # the keys k and -k coincide at k = 0, so power 0 is checked once
+            for e, want in {k: acc, -k: inv(acc)}.items():
+                if power(g, e) != want:
+                    rep.fail(f"power {e} of {g} disagrees with iteration")
+                rep.checks += 1
             acc = mul(acc, g)
 
     for t in elements:
@@ -225,8 +225,9 @@ def isotropy_suite(element_bound: int = 8, line_bound: int = 5) -> SuiteReport:
 
 
 def fixed_set_suite(gen_bound: int = 6, line_bound: int = 5) -> SuiteReport:
-    """Fixed-set descriptors against brute-force stabilization, plus the
-    structural sweep of i_complex_suite."""
+    """Fixed-set descriptors against brute-force stabilization: each
+    canonical subgroup's descriptor contains exactly the bounded lines
+    its generator stabilizes, one check per subgroup and line."""
     rep = SuiteReport("fixed-set", {"gen_bound": gen_bound, "line_bound": line_bound})
     lines = line_grid(line_bound)
     for s in canonical_subgroups(gen_bound):
@@ -235,13 +236,6 @@ def fixed_set_suite(gen_bound: int = 6, line_bound: int = 5) -> SuiteReport:
             if d.contains_line(line) != stabilizes(s.gen, line):
                 rep.fail(f"fixed-set membership wrong at {s}, {line}")
             rep.checks += 1
-    if rep.checks == 0:
-        # the nested sweep's checks do not stand in for an empty own sweep
-        return rep
-    inner = i_complex_suite(gen_bound)
-    rep.checks += inner.checks
-    for c in inner.failures:
-        rep.fail(f"i-complex: {c}")
     return rep
 
 

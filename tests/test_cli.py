@@ -359,6 +359,23 @@ def test_verify_all_passes_at_bound_1(capsys):
     assert all(r["ok"] for r in records)
 
 
+def test_verify_all_runs_each_suite_once(monkeypatch, capsys):
+    # the module global is patched too, so a suite that runs another
+    # suite by name is counted
+    from kleingroup import verify
+
+    calls = dict.fromkeys(verify.SUITES, 0)
+    for name, fn in list(verify.SUITES.items()):
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setitem(verify.SUITES, name, counted)
+        monkeypatch.setattr(verify, fn.__name__, counted)
+    code, _, _ = run_cli(["verify", "--bound", "1"], capsys)
+    assert code == 0
+    assert calls == dict.fromkeys(verify.SUITES, 1)
+
+
 def test_verify_zero_checks_fails(capsys):
     code, out, _ = run_cli(["verify", "--suite", "isotropy", "--max-denominator", "0"], capsys)
     assert code == 1
@@ -366,8 +383,8 @@ def test_verify_zero_checks_fails(capsys):
 
 
 def test_verify_fixed_set_empty_own_sweep_fails(capsys):
-    # the nested i-complex run made 2,340 checks, so an empty line grid
-    # printed "fixed-set: ok (2340 checks)" and exited 0
+    # an empty line grid leaves fixed-set with no checks, and a suite
+    # that checked nothing is not ok
     code, out, _ = run_cli(["verify", "--suite", "fixed-set", "--max-denominator", "0"], capsys)
     assert code == 1
     assert out == "fixed-set: FAILED (0 checks)  [verification sweep]\n"
@@ -392,10 +409,10 @@ def test_verify_failed_single_suite_exits_1(monkeypatch, capsys):
     from kleingroup import cli
     from kleingroup.verify import SuiteReport
 
-    def broken(name, **kwargs):
-        return SuiteReport(name, {}, checks=1, failures=["forced"])
+    def broken(**kwargs):
+        return SuiteReport("kn-action", {}, checks=1, failures=["forced"])
 
-    monkeypatch.setattr(cli, "run_suite", broken)
+    monkeypatch.setitem(cli.SUITES, "kn-action", broken)
     code, out, _ = run_cli(["verify", "--suite", "kn-action", "--json"], capsys)
     assert code == 1
     assert json.loads(out)["result"]["failures"] == ["forced"]

@@ -17,7 +17,9 @@ from kleingroup import (
     Line,
     PlanePoint,
     VERTICAL,
+    canonical_subgroups,
     isotropy_group,
+    line_grid,
     run_suite,
     subgroup,
     verify,
@@ -288,6 +290,22 @@ def test_suite_reports_a_planted_fault(monkeypatch, name, at, wrong, suite, kwar
     assert rep.failures[0] == first
 
 
+def test_group_law_checks_power_zero_once(monkeypatch):
+    # power(g, 0) and power(g, -0) are one call, so one fault there is
+    # one failure
+    _plant_fault(monkeypatch, "power", (GroupElement(-2, -2), 0),
+                 lambda p: GroupElement(p.n + 1, p.m))
+    rep = group_law_suite(bound=2, samples=50)
+    assert rep.failures == ["power 0 of GroupElement(n=-2, m=-2) disagrees with iteration"]
+
+
+@pytest.mark.parametrize("gen_bound, line_bound", [(6, 5), (2, 1)])
+def test_fixed_set_makes_one_check_per_subgroup_and_line(gen_bound, line_bound):
+    rep = fixed_set_suite(gen_bound, line_bound)
+    assert rep.ok, rep.failures
+    assert rep.checks == len(canonical_subgroups(gen_bound)) * len(line_grid(line_bound))
+
+
 def _off_above_a_million(real):
     """``real`` with 1 added to the first coordinate of its value when
     the first coordinate of its first argument exceeds 10^6 in size,
@@ -377,7 +395,7 @@ def test_planted_faults_reach_every_failure_branch():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "fail" and isinstance(node.func.value, ast.Name)
              and node.func.value.id == "rep"}
-    assert len(sites) == 36
+    assert len(sites) == 34
     reached = set()
 
     def lines(frame, event, arg):
