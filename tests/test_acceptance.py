@@ -98,7 +98,9 @@ def test_criterion_04_fixed_sets(announce):
              f"{rep.checks} checks; failures: {rep.failures or 'none'}")
     assert rep.ok, rep.failures
     assert rep.checks == 131_040
-    assert i_complex_suite(6).checks == 2_340
+    ic = i_complex_suite(6)
+    assert ic.ok, ic.failures
+    assert ic.checks == 2_340
 
 
 def test_criterion_05_commensurability(announce):
