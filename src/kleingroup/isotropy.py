@@ -4,7 +4,7 @@ Every line a*t + b*r = c has nontrivial infinite cyclic isotropy,
 generated by its primitive direction (b, -a)/gcd(a, b), doubled when
 that is a glide, unless the line is vertical and a glide flips it onto
 itself.  Dually, a cyclic subgroup fixes the family of lines of its
-fixed direction (p, q) from subgroups.fixed_direction, those with
+fixed direction (p, q), which subgroups computes and checks, those with
 a*p + b*q == 0, unless it is a glide, which fixes one vertical line
 alone - never the empty set.
 """
@@ -17,7 +17,8 @@ from math import gcd
 
 from .core import GroupElement
 from .plane import VERTICAL, Line
-from .subgroups import CyclicSubgroup, fixed_direction, maximal_translations, subgroup
+from .subgroups import (CyclicSubgroup, _check_direction, fixed_direction,
+                        maximal_translations, subgroup)
 
 
 def isotropy_group(line: Line) -> CyclicSubgroup:
@@ -55,16 +56,11 @@ class FixedSetDescriptor:
     line: Line | None = None
 
     def __post_init__(self) -> None:
-        d = self.direction
-        if type(d) is not tuple or not all(type(x) is int for x in d):
-            raise TypeError(f"direction must be a tuple of ints, got {d!r}")
+        d = _check_direction(self.direction)
         if self.line is not None and not isinstance(self.line, Line):
             raise TypeError(f"line must be a Line or None, got {self.line!r}")
-        p, q = d if len(d) == 2 else (0, 0)  # no other length is a direction
-        if gcd(p, q) != 1 or (q <= 0 and (p, q) != (1, 0)) or (self.line is not None and (
-                (p, q) != (0, 1) or not self.line.vertical)):
-            raise ValueError("a fixed set is a primitive direction (p, q) with q > 0, "
-                             "or (1, 0), with a line only for (0, 1) and only a vertical one")
+        if self.line is not None and (d != (0, 1) or not self.line.vertical):
+            raise ValueError("a fixed set has a line only for (0, 1), and only a vertical one")
 
     @property
     def kind(self) -> str:
@@ -92,10 +88,9 @@ def fixed_set(s: CyclicSubgroup) -> FixedSetDescriptor:
     >>> fixed_set(subgroup(3, 1)).line
     Line(a=2, b=0, c=3)
     """
-    if s.gen.m % 2:
-        # a glide flip fixes exactly one vertical line, through n/2
-        return FixedSetDescriptor((0, 1), Line(VERTICAL, Fraction(s.gen.n, 2)))
-    return FixedSetDescriptor(fixed_direction(s))
+    # a glide flip fixes exactly one vertical line, through n/2
+    line = Line(VERTICAL, Fraction(s.gen.n, 2)) if s.gen.m % 2 else None
+    return FixedSetDescriptor(fixed_direction(s), line)
 
 
 def fraction_grid(bound: int) -> list[Fraction]:

@@ -1,15 +1,16 @@
 """Symbolic assembly of the pushout classifying-space model.
 
 Every piece of the pushout has one shape: the real line of the lines
-q*t - p*r = const of its class's fixed direction d = (p, q), glued to the
-plane by x ~ piece_coordinate(d, x) = unit * (q*t - p*r).  The unit comes
-from d: -1 for (1, 0), so H reads r; 2 for (0, 1), so K reads 2t, and its
-line is the Bass-Serre tree of <(0,1)> *_<(0,2)> <(1,1)>, vertex n being
-the vertical line t = n/2 with isotropy <(n, 1)>; (1 + q mod 2)/2 for a
-flat d, so translations shift it by whole units.  piece_action acts
-exactly on rational c, and an int c stays an int.  A piece is its class,
-a CommClass: family_contains, commensurator and piece_text read its
-family, commensurator, label and space off the class.
+q*t - p*r = const of its class's fixed direction d = (p, q), checked by
+subgroups, glued to the plane by x ~ piece_coordinate(d, x) =
+unit * (q*t - p*r).  The unit comes from d: -1 for (1, 0), so H reads r;
+2 for (0, 1), so K reads 2t, and its line is the Bass-Serre tree of
+<(0,1)> *_<(0,2)> <(1,1)>, vertex n being the vertical line t = n/2 with
+isotropy <(n, 1)>; (1 + q mod 2)/2 for a flat d, so translations shift
+it by whole units.  piece_action acts exactly on rational c, and an int
+c stays an int.  A piece is its class, a CommClass: family_contains,
+commensurator and piece_text read its family, commensurator, label and
+space off the class.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd
 
 from .core import GroupElement
 from .plane import PlanePoint
-from .subgroups import CommClass, CyclicSubgroup, comm_class
+from .subgroups import CommClass, CyclicSubgroup, _check_direction, comm_class
 
 
 # The unit of a piece's coordinate, doubled to an int and keyed by the
@@ -29,14 +30,11 @@ _TWICE_UNIT = {(1, 0): -2, (0, 1): 4}
 
 
 def _twice_unit(d: tuple[int, int]) -> int:
-    """Twice the unit of direction d, which must be one fixed_direction
-    returns: (1, 0), or primitive with q > 0."""
-    twice_unit = _TWICE_UNIT.get(d)
-    if twice_unit is None:
-        p, q = d
-        if q <= 0 or gcd(p, q) != 1:
-            raise ValueError(f"direction must be (1, 0) or primitive with q > 0, got {d!r}")
-        twice_unit = 1 + q % 2
+    """Twice the unit of direction d, which subgroups._check_direction must
+    accept; a table hit checks its types too, as (True, 0) == (1, 0)."""
+    twice_unit = _TWICE_UNIT.get(d) if type(d) is tuple else None
+    if twice_unit is None or type(d[0]) is not int or type(d[1]) is not int:
+        twice_unit = 1 + _check_direction(d)[1] % 2
     return twice_unit
 
 
@@ -47,10 +45,10 @@ def piece_coordinate(d: tuple[int, int], x: PlanePoint) -> Fraction:
     >>> [piece_coordinate(d, PlanePoint(3, 5)) for d in [(1, 0), (0, 1), (-1, 2)]]
     [Fraction(5, 1), Fraction(6, 1), Fraction(11, 2)]
     """
-    p, q = d
+    twice_unit, (p, q) = _twice_unit(d), d
     tn, td = x.t.as_integer_ratio()
     rn, rd = x.r.as_integer_ratio()
-    return Fraction(_twice_unit(d) * (q * tn * rd - p * rn * td), 2 * td * rd)
+    return Fraction(twice_unit * (q * tn * rd - p * rn * td), 2 * td * rd)
 
 
 def piece_action(d: tuple[int, int], g: GroupElement, c):
@@ -65,13 +63,13 @@ def piece_action(d: tuple[int, int], g: GroupElement, c):
     >>> piece_action((0, 1), GroupElement(1, 1), Fraction(1, 2))
     Fraction(3, 2)
     """
-    p, q = d
+    twice_unit, (p, q) = _twice_unit(d), d
     if type(c) is not int and type(c) is not Fraction:
         raise TypeError(f"coordinate must be an int or a Fraction, got {c!r}")
     glide = g.m & 1
     if glide and p and q:
         raise ValueError("a glide mirrors a flat piece; only translations act on it")
-    return (-c if glide and not p else c) + _twice_unit(d) * (q * g.n - p * g.m) // 2
+    return (-c if glide and not p else c) + twice_unit * (q * g.n - p * g.m) // 2
 
 
 def flat_representatives(bound: int) -> list[CyclicSubgroup]:

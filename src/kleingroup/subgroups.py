@@ -3,12 +3,13 @@
 Every nontrivial proper subgroup of interest here is infinite cyclic,
 written as the span of a canonical generator.  Two subgroups are
 commensurable (intersect in an infinite subgroup) exactly when they fix
-lines of one primitive direction (p, q), with (0, 1) for every glide.
-A glide conjugates p to -p, so a class is keyed by the direction
-(|p|, q): tag H is (1, 0), K is (0, 1), and R is every other (flat)
-direction.  The class is the one value for it: the family the pushout
-model glues it along (:func:`family_contains`) and its commensurator
-(:func:`commensurator`) are functions of the class.
+lines of one primitive direction (p, q), with (0, 1) for every glide;
+classes, fixed sets and model pieces check a direction by the one rule
+here, _check_direction.  A glide conjugates p to -p, so a class is
+keyed by the direction (|p|, q): tag H is (1, 0), K is (0, 1), and R is
+every other (flat) direction.  The class is the one value for it: the
+family the pushout model glues it along (:func:`family_contains`) and
+its commensurator (:func:`commensurator`) are functions of the class.
 """
 
 from __future__ import annotations
@@ -99,9 +100,22 @@ def fixed_direction(s: CyclicSubgroup) -> tuple[int, int]:
     return (n // d, m // d)
 
 
+def _check_direction(d):
+    """d itself when fixed_direction can return it: a tuple of two ints,
+    primitive, with q > 0 or equal to (1, 0); else a named error."""
+    if type(d) is tuple and len(d) == 2 and type(d[0]) is int and type(d[1]) is int:
+        if gcd(*d) == 1 and (d[1] > 0 or d == (1, 0)):
+            return d
+    elif type(d) is not tuple or not all(type(x) is int for x in d):
+        raise TypeError(f"direction must be a tuple of ints, got {d!r}")
+    raise ValueError(f"direction must be (1, 0) or primitive with q > 0, got {d!r}")
+
+
 def maximal_translations(p: int, q: int) -> CyclicSubgroup:
-    """The maximal translations along the primitive direction (p, q):
-    <(p, q)> for even q, else <(2p, 2q)>, as (p, q) is then a glide."""
+    """The maximal translations along the primitive (p, q), of either
+    sign: <(p, q)> for even q, else <(2p, 2q)>, as (p, q) is a glide."""
+    if gcd(p, q) != 1:
+        raise ValueError(f"direction must be primitive, got {(p, q)!r}")
     k = 1 + q % 2
     return subgroup(k * p, k * q)
 
@@ -125,12 +139,8 @@ class CommClass:
     direction: tuple[int, int]
 
     def __post_init__(self) -> None:
-        # accept exactly the class keys: a primitive pair of ints p, q >= 0
-        d = self.direction
-        if type(d) is not tuple or not all(type(x) is int for x in d):
-            raise TypeError(f"direction must be a tuple of ints, got {d!r}")
-        if len(d) != 2 or min(d) < 0 or gcd(*d) != 1:
-            raise ValueError(f"direction must be primitive with p, q >= 0, got {d!r}")
+        if _check_direction(self.direction)[0] < 0:
+            raise ValueError(f"class direction must have p >= 0, got {self.direction!r}")
 
     @property
     def tag(self) -> str:

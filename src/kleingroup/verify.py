@@ -144,7 +144,7 @@ def group_law_suite(bound: int = 10, samples: int = 10000, seed: int = 0) -> Sui
             GroupElement(rng.randint(-big, big), rng.randint(-big, big))
             for _ in range(3)
         )
-        rep.checks += 3
+        rep.checks += 4
         if mul(mul(g, h), k) != mul(g, mul(h, k)):
             rep.fail(f"big associativity fails at {g}, {h}, {k}")
         if not mul(g, inv(g)).is_identity():
@@ -181,6 +181,7 @@ def representation_suite(bound: int = 10) -> SuiteReport:
             rep.checks += 1
     pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(-2)), (Fraction(1, 2), Fraction(3, 7))]
     for g, a in zip(elements, maps):
+        rep.checks += 1
         if a.is_identity() != g.is_identity():
             rep.fail(f"faithfulness fails at {g}")
         for t, r in pts:
@@ -188,6 +189,7 @@ def representation_suite(bound: int = 10) -> SuiteReport:
             if a.apply(t, r) != (q.t, q.r):
                 rep.fail(f"affine map disagrees with the action at {g}")
             rep.checks += 1
+    rep.checks += 1
     if not AFFINE_IDENTITY.is_identity():
         rep.fail("identity map not recognized")
     return rep
@@ -289,11 +291,14 @@ def commensurability_suite(bound: int = 10) -> SuiteReport:
             if mc != (m and conj_subgroup(t, m)):
                 rep.fail(f"maximal subgroup not equivariant at t={t}, s={s.gen}")
             if c.tag == "R" and t.m % 2 == 1:
+                rep.checks += 1
                 flipped = canonicalize(GroupElement(-m.gen.n, m.gen.m))
                 if mc != flipped:
                     rep.fail(f"flat maximal did not flip at t={t}, s={s.gen}")
-        if m is not None and not contains(m, s.gen):
-            rep.fail(f"maximal subgroup misses its member at {s.gen}")
+        if m is not None:
+            rep.checks += 1
+            if not contains(m, s.gen):
+                rep.fail(f"maximal subgroup misses its member at {s.gen}")
     return rep
 
 
@@ -371,7 +376,7 @@ def maps_suite(bound: int = 8) -> SuiteReport:
         d = fixed_direction(r)
         coords = [piece_coordinate(d, x) for x in base]
         for g in translations:
-            rep.checks += 2
+            rep.checks += 1
             if (piece_action(d, g, 0) == 0) != contains(r, g):
                 rep.fail(f"piece action kernel wrong at rep={r.gen}, g={g}")
             for x, c in zip(base, coords):
@@ -382,6 +387,7 @@ def maps_suite(bound: int = 8) -> SuiteReport:
         # by 1; unlike a grid search, this witness exists at every --bound
         a, k = r.gen.n, r.gen.m // 2
         x = pow(k, -1, a)
+        rep.checks += 1
         if piece_action(d, GroupElement(x, 2 * ((k * x - 1) // a)), 0) != 1:
             rep.fail(f"piece action of {r.gen} misses the unit shift")
     return rep
@@ -398,7 +404,7 @@ def i_complex_suite(bound: int = 6) -> SuiteReport:
     rep = SuiteReport("i-complex", {"bound": bound})
     for line in line_grid(bound):
         iso = isotropy_group(line)
-        rep.checks += 1
+        rep.checks += 2
         if not stabilizes(iso.gen, line):
             rep.fail(f"isotropy generator {iso.gen} does not stabilize {line}")
         if act_line(iso.gen, line) != line:

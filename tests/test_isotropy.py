@@ -123,11 +123,12 @@ def test_descriptor_validation():
     # a primitive direction with q > 0, or (1, 0), as fixed_direction gives;
     # a line only for (0, 1) and only a vertical one
     for bad in [((2, 4),), ((0, 0),), ((0, 2),), ((0, -1),), ((-1, 0),), ((3, -2),),
-                ((1, 2), Line(VERTICAL, 0)), ((0, 1), Line(0, 0))]:
-        with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
+                ((0, 1, 0),), ((2, 4), Line(VERTICAL, 0))]:
+        with pytest.raises(ValueError, match=r"direction must be \(1, 0\) or primitive"):
             FixedSetDescriptor(*bad)
-    with pytest.raises(ValueError, match="a fixed set is a primitive direction"):
-        FixedSetDescriptor((0, 1, 0))
+    for bad in [((1, 2), Line(VERTICAL, 0)), ((0, 1), Line(0, 0))]:
+        with pytest.raises(ValueError, match="a line only for"):
+            FixedSetDescriptor(*bad)
     # a direction that is not a tuple of ints could be neither equal to a
     # checked one nor hashed
     for bad in [[2, 1], (2.0, 1), (True, 1), (Fraction(2), 1), "21", None]:

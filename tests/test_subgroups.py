@@ -17,6 +17,7 @@ from kleingroup import (
     CyclicSubgroup,
     FixedSetDescriptor,
     GroupElement,
+    PlanePoint,
     canonical_subgroups,
     canonicalize,
     comm_class,
@@ -28,6 +29,9 @@ from kleingroup import (
     fixed_direction,
     fixed_set,
     maximal_containing,
+    maximal_translations,
+    piece_action,
+    piece_coordinate,
     power,
     powers,
     subgroup,
@@ -150,20 +154,58 @@ def test_class_equality_is_commensurability_up_to_flip():
             assert (comm_class(s) == comm_class(t)) == oracle, (s.gen, t.gen)
 
 
+# Keys that fixed_direction never returns, with the error that names
+# them; (True, 0) and (1.0, 0) compare equal to (1, 0)
 BAD_DIRECTIONS = [
-    ((2, 4), ValueError), ((-1, 2), ValueError), ((1, -2), ValueError),
-    ((0, 0), ValueError), ((1, 2, 3), ValueError), ((), ValueError),
+    ((2, 4), ValueError), ((1, -2), ValueError), ((-1, 0), ValueError),
+    ((0, 2), ValueError), ((0, 0), ValueError), ((1, 2, 3), ValueError),
+    ((0, 1, 5), ValueError), ((), ValueError),
     (("1", 0), TypeError), ((True, 0), TypeError), ((1.0, 0), TypeError),
-    ([1, 0], TypeError), ("H", TypeError), (None, TypeError),
+    ((1.0, 2), TypeError), ([1, 0], TypeError), ([1, 2], TypeError),
+    ("H", TypeError), (None, TypeError),
 ]
+DIRECTION_ERRORS = {
+    ValueError: r"direction must be \(1, 0\) or primitive with q > 0, got",
+    TypeError: "direction must be a tuple of ints, got",
+}
+# Every constructor and map keyed by a direction, called on direction d
+DIRECTION_ENTRY_POINTS = {
+    "CommClass": CommClass,
+    "FixedSetDescriptor": FixedSetDescriptor,
+    "piece_coordinate": lambda d: piece_coordinate(d, PlanePoint(3, 5)),
+    "piece_action": lambda d: piece_action(d, GroupElement(1, 2), 0),
+}
+
+
+@pytest.mark.parametrize("entry", DIRECTION_ENTRY_POINTS)
+@pytest.mark.parametrize("key, error", [
+    pytest.param(key, error, id=repr(key).replace(" ", "")) for key, error in BAD_DIRECTIONS])
+def test_every_entry_point_rejects_bad_directions(entry, key, error):
+    with pytest.raises(error, match=DIRECTION_ERRORS[error]):
+        DIRECTION_ENTRY_POINTS[entry](key)
 
 
 def test_class_invalid_construction():
-    for key, error in BAD_DIRECTIONS:
-        with pytest.raises(error, match="direction must be"):
-            CommClass(key)
+    # (-1, 2) is a direction, of a flat subgroup, but not a class key
+    with pytest.raises(ValueError, match="class direction must have p >= 0"):
+        CommClass((-1, 2))
+    assert FixedSetDescriptor((-1, 2)) == fixed_set(subgroup(-1, 2))
     with pytest.raises(TypeError):
         CommClass("R", subgroup(1, 0))
+
+
+def test_maximal_translations_rejects_pairs_that_are_not_primitive():
+    for p, q in [(2, 4), (2, 0), (3, 6), (0, 0), (-2, 4)]:
+        with pytest.raises(ValueError, match="direction must be primitive"):
+            maximal_translations(p, q)
+
+
+def test_maximal_translations_on_primitive_pairs_of_either_sign():
+    for p in range(-GRID, GRID + 1):
+        for q in range(-GRID, GRID + 1):
+            if gcd(p, q) == 1:
+                k = 1 + q % 2
+                assert maximal_translations(p, q) == subgroup(k * p, k * q), (p, q)
 
 
 def test_fixed_direction_is_primitive_and_canonical():

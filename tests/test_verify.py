@@ -306,6 +306,24 @@ def test_fixed_set_makes_one_check_per_subgroup_and_line(gen_bound, line_bound):
     assert rep.checks == len(canonical_subgroups(gen_bound)) * len(line_grid(line_bound))
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_i_complex_counts_both_checks_per_line(bound):
+    # stabilizes and act_line per line, one witness per subgroup
+    rep = i_complex_suite(bound)
+    assert rep.ok, rep.failures
+    assert rep.checks == 2 * len(line_grid(bound)) + len(canonical_subgroups(bound))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_representation_counts_every_check(bound):
+    # n^2 products, 3 points and the faithfulness check per element, and
+    # the one AFFINE_IDENTITY check
+    n = (2 * bound + 1) ** 2
+    rep = representation_suite(bound)
+    assert rep.ok, rep.failures
+    assert rep.checks == n * n + 4 * n + 1
+
+
 def _off_above_a_million(real):
     """``real`` with 1 added to the first coordinate of its value when
     the first coordinate of its first argument exceeds 10^6 in size,
