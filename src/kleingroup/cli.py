@@ -481,8 +481,7 @@ def _h_product(a):
 
 @_command("join", "homology of a join of named spaces", "left:space right:space")
 def _h_join(a):
-    hx = _space_homology(a.left).to_reduced()
-    hy = _space_homology(a.right).to_reduced()
+    hx, hy = _space_homology(a.left), _space_homology(a.right)
     yield ({"left": a.left, "right": a.right}, kunneth_join(hx, hy),
            "join assembled from reduced factor homologies")
 

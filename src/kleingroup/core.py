@@ -12,7 +12,7 @@ validate their fields.  The operations build their results unchecked, by
 setting the slots of a bare instance in their own body, since fields
 computed from checked ones need no check and a helper would cost a
 Python frame per result: ``mul``, ``inv``, ``conj`` and ``power``
-(1,231,183 results in a traced ``verify --suite all``, 943,397 of them
+(1,229,388 results in a traced ``verify --suite all``, 943,397 of them
 from ``mul``), and ``as_affine`` and ``AffineMap.compose`` (196,603
 results).  ``power`` checks its exponent first.
 

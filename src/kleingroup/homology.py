@@ -114,23 +114,22 @@ def _kunneth(hx: GradedGroups, hy: GradedGroups) -> tuple[AbelianGroup, ...]:
 
 
 def kunneth_product(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
-    """Homology of a product space from unreduced factor homologies:
-    tensor terms in the same total degree plus Tor terms one below."""
-    if hx.reduced or hy.reduced:
-        raise ValueError("kunneth_product takes unreduced homologies")
-    return GradedGroups(_kunneth(hx, hy))
+    """Unreduced homology of a product space from the factor homologies,
+    each read unreduced whatever its form: tensor terms in the same total
+    degree plus Tor terms one below."""
+    return GradedGroups(_kunneth(hx.to_unreduced(), hy.to_unreduced()))
 
 
 def kunneth_join(hx: GradedGroups, hy: GradedGroups) -> GradedGroups:
-    """Reduced homology of a join from reduced factor homologies.
+    """Reduced homology of a join from the factor homologies, each read
+    reduced whatever its form.
 
     Degree n+1 of the join collects the degree-n tensor terms and the
     degree-(n-1) Tor terms; a join of nonempty spaces is connected, so
     degree 0 vanishes.
     """
-    if not (hx.reduced and hy.reduced):
-        raise ValueError("kunneth_join takes reduced homologies")
-    return GradedGroups((TRIVIAL,) + _kunneth(hx, hy), reduced=True)
+    return GradedGroups((TRIVIAL,) + _kunneth(hx.to_reduced(), hy.to_reduced()),
+                        reduced=True)
 
 
 SIMPLICIAL_CAP = 4
@@ -154,8 +153,7 @@ def model_homology(circles: int, method: str = "kunneth") -> GradedGroups:
     if method == "kunneth":
         if circles > KUNNETH_CAP:
             raise ValueError(f"kunneth method capped at {KUNNETH_CAP} circles")
-        hx = circles_homology(circles).to_reduced()
-        return kunneth_join(hx, KNOWN_HOMOLOGY["klein"].to_reduced()).to_unreduced()
+        return kunneth_join(circles_homology(circles), KNOWN_HOMOLOGY["klein"]).to_unreduced()
     if method == "simplicial":
         if circles > SIMPLICIAL_CAP:
             raise ValueError(f"simplicial method capped at {SIMPLICIAL_CAP} circles")

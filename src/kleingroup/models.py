@@ -31,11 +31,12 @@ _TWICE_UNIT = {(1, 0): -2, (0, 1): 4}
 
 def _twice_unit(d: tuple[int, int]) -> int:
     """Twice the unit of direction d, which subgroups._check_direction must
-    accept; a table hit checks its types too, as (True, 0) == (1, 0)."""
-    twice_unit = _TWICE_UNIT.get(d) if type(d) is tuple else None
-    if twice_unit is None or type(d[0]) is not int or type(d[1]) is not int:
-        twice_unit = 1 + _check_direction(d)[1] % 2
-    return twice_unit
+    accept; d is looked up in the table only once it is a pair of ints."""
+    if type(d) is tuple and len(d) == 2 and type(d[0]) is int and type(d[1]) is int:
+        twice_unit = _TWICE_UNIT.get(d)
+        if twice_unit is not None:
+            return twice_unit
+    return 1 + _check_direction(d)[1] % 2
 
 
 def piece_coordinate(d: tuple[int, int], x: PlanePoint) -> Fraction:

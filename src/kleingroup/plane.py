@@ -12,7 +12,7 @@ validate their inputs.  A point is built only by its constructor, which
 ``act_point`` calls too (25,123 calls in a traced ``verify --suite all``),
 on coordinates it builds as one ``Fraction(numerator, denominator)``
 each.  ``Line.__init__`` divides its triple, whose signs are already
-normal, by the gcd.  ``act_line`` (455,352 calls) sets the slots of a
+normal, by the gcd.  ``act_line`` (453,096 calls) sets the slots of a
 bare instance without that division: the image of a primitive triple
 under the unimodular map (a, b, c) -> (s*a, b, c + s*a*n + b*m) is
 primitive, so only a vertical line a glide flips needs its signs back.

@@ -161,21 +161,19 @@ def representation_suite(bound: int = 10) -> SuiteReport:
     """The affine representation is a homomorphism, matches the point
     action, and only the identity element acts as the identity map.
 
-    Every product g*h of the box lies in the box of 2*bound, so the images
-    of as_affine over that box are tabulated once and the law reads
-    as_affine(mul(g, h)) from the table; as_affine is pure, so each entry
-    is the value the call would return.  A product outside that box, which
-    only a wrong mul gives, is mapped by the call itself."""
+    The law reads as_affine(mul(g, h)) from a table keyed by the product
+    and filled on its first use, so each distinct product is mapped once;
+    as_affine is pure, so each entry is the value the call would return."""
     rep = SuiteReport("representation", {"bound": bound})
     elements = _elements(bound)
     maps = [as_affine(g) for g in elements]
-    images = {(x.n, x.m): as_affine(x) for x in _elements(2 * bound)}
+    images = {}
     for g, a in zip(elements, maps):
         for h, b in zip(elements, maps):
             gh = mul(g, h)
             image = images.get((gh.n, gh.m))
             if image is None:
-                image = as_affine(gh)
+                image = images[gh.n, gh.m] = as_affine(gh)
             if a.compose(b) != image:
                 rep.fail(f"not a homomorphism at {g}, {h}")
             rep.checks += 1
@@ -306,7 +304,14 @@ def kn_suite(bound: int = 8) -> SuiteReport:
     """The action on the odd/vertical piece is an action, and the
     stabilizer of its coordinate n, the index of the vertical line
     t = n/2, is that line's isotropy group, the odd maximal subgroup
-    <(n, 1)>, which isotropy_group computes by its own route."""
+    <(n, 1)>, which isotropy_group computes by its own route.
+
+    The tables hold only values that the loops read, each computed once:
+    every element's images of the indices, which the stabilizer check
+    reads too; every element's row over the indices those images reach;
+    and each product's images of the indices, filled in on its first use.
+    piece_action is pure, so each entry is the value the call would
+    return, and an image far off the indices is reported like any other."""
     rep = SuiteReport("kn-action", {"bound": bound})
     elements = _elements(bound)
     indices = range(-bound, bound + 1)
@@ -315,35 +320,34 @@ def kn_suite(bound: int = 8) -> SuiteReport:
         if piece_action(odd, IDENTITY, n) != n:
             rep.fail(f"identity moves index {n}")
         rep.checks += 1
-    # h moves an index of [-bound, bound] into [-3*bound, 3*bound], so each
-    # element gets a row over that span; a product gh lies in the box of
-    # 2*bound and is read on the indices only.  Entries are shifted by
-    # 3*bound, so h's entries index g's row directly.  A gather over
+    # h's gather picks its images of the indices out of a row; a gather over
     # len(indices) positions returns a tuple, or the bare entry when bound
-    # is 0; cut shapes each product's values the same way.  A product
-    # outside the box, which only a wrong mul gives, is computed directly
-    reach = 3 * bound
-    span = range(-reach, reach + 1)
-    rows = [[piece_action(odd, g, i) + reach for i in span] for g in elements]
+    # is 0, and cut shapes each product's values the same way.  Entries are
+    # shifted by the least reached index, which keeps them small ints
+    images = [[piece_action(odd, h, n) for n in indices] for h in elements]
+    reached = sorted({i for row in images for i in row})
+    low = reached[0]
+    at = {i: k for k, i in enumerate(reached)}
+    rows = [[piece_action(odd, g, i) - low for i in reached] for g in elements]
+    gathers = [itemgetter(*[at[i] for i in row]) for row in images]
     cut = itemgetter(*range(len(indices)))
-    expected = {(x.n, x.m): cut([piece_action(odd, x, n) + reach for n in indices])
-                for x in _elements(2 * bound)}
-    gathers = [itemgetter(*row[reach - bound:reach + bound + 1]) for row in rows]
+    expected = {}
     for g, tg in zip(elements, rows):
-        for h, th, gather in zip(elements, rows, gathers):
+        for h, gather in zip(elements, gathers):
             gh = mul(g, h)
             want = expected.get((gh.n, gh.m))
             if want is None:
-                want = cut([piece_action(odd, gh, n) + reach for n in indices])
+                want = expected[gh.n, gh.m] = cut(
+                    [piece_action(odd, gh, n) - low for n in indices])
             if gather(tg) != want:
-                n = next(n for n in indices
-                         if tg[th[n + reach]] != piece_action(odd, gh, n) + reach)
+                n = next(n for n in indices if tg[at[piece_action(odd, h, n)]]
+                         != piece_action(odd, gh, n) - low)
                 rep.fail(f"not an action at g={g}, h={h}, n={n}")
     rep.checks += len(elements) ** 2 * len(indices)
-    for n in indices:
+    for k, n in enumerate(indices):
         stab = isotropy_group(Line(VERTICAL, Fraction(n, 2)))
-        for g in elements:
-            if (piece_action(odd, g, n) == n) != contains(stab, g):
+        for g, image in zip(elements, images):
+            if (image[k] == n) != contains(stab, g):
                 rep.fail(f"stabilizer wrong at g={g}, n={n}")
             rep.checks += 1
     return rep

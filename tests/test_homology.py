@@ -140,11 +140,13 @@ def test_kunneth_join_against_simplicial():
 
 
 def test_kunneth_argument_conventions():
-    k = simplicial_homology(klein_complex())
-    with pytest.raises(ValueError):
-        kunneth_product(k.to_reduced(), k)
-    with pytest.raises(ValueError):
-        kunneth_join(k, k.to_reduced())
+    # each formula reads its factors in the form it needs, so every mix of
+    # reduced and unreduced factors gives the one result
+    k, c = simplicial_homology(klein_complex()), circles_homology(2)
+    for x, y in ((k, c), (c, k), (k, k)):
+        forms = [(a, b) for a in (x, x.to_reduced()) for b in (y, y.to_reduced())]
+        for kunneth in (kunneth_product, kunneth_join):
+            assert len({kunneth(a, b) for a, b in forms}) == 1
 
 
 graded_terms = st.lists(

@@ -161,8 +161,8 @@ BAD_DIRECTIONS = [
     ((0, 2), ValueError), ((0, 0), ValueError), ((1, 2, 3), ValueError),
     ((0, 1, 5), ValueError), ((), ValueError),
     (("1", 0), TypeError), ((True, 0), TypeError), ((1.0, 0), TypeError),
-    ((1.0, 2), TypeError), ([1, 0], TypeError), ([1, 2], TypeError),
-    ("H", TypeError), (None, TypeError),
+    ((1.0, 2), TypeError), (([1], 0), TypeError), ([1, 0], TypeError),
+    ([1, 2], TypeError), ("H", TypeError), (None, TypeError),
 ]
 DIRECTION_ERRORS = {
     ValueError: r"direction must be \(1, 0\) or primitive with q > 0, got",

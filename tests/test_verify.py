@@ -229,6 +229,15 @@ PLANTED = [
         maps_suite, dict(bound=3),
         "piece action kernel wrong at rep=GroupElement(n=1, m=2), g=GroupElement(n=1, m=2)",
         id="equivariant-maps-contains"),
+    # images off the checked indices, far above, huge and below: the
+    # suite's tables hold what it reads, so each is reported, not raised
+    *(pytest.param(
+        "piece_action", ((0, 1), GroupElement(1, 1), 0), wrong,
+        kn_suite, dict(bound=3),
+        "not an action at g=GroupElement(n=-3, m=-3), h=GroupElement(n=1, m=1), n=0",
+        id=f"kn-action-{name}")
+      for name, wrong in (("far", lambda n: n + 1000), ("huge", lambda n: 10**30),
+                          ("below", lambda n: -10))),
     pytest.param(
         "piece_action", ((0, 1), IDENTITY, 0), lambda n: n + 1,
         kn_suite, dict(bound=3),
@@ -322,6 +331,16 @@ def test_representation_counts_every_check(bound):
     rep = representation_suite(bound)
     assert rep.ok, rep.failures
     assert rep.checks == n * n + 4 * n + 1
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_kn_action_counts_every_check(bound):
+    # n identity checks, n^2 * n^2 * n action checks and n * n^2
+    # stabilizer checks; bound 0 gathers one index, a bare entry
+    n = 2 * bound + 1
+    rep = kn_suite(bound)
+    assert rep.ok, rep.failures
+    assert rep.checks == n + n**3 + n**5
 
 
 def _off_above_a_million(real):
